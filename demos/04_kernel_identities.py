@@ -68,7 +68,7 @@ def main():
     f = balanced_window(N, H)
     p = optimal_eps_E(0, H)
     r = three_range_split(f, N, H, p.eps, p.E)
-    print(f"  eps = {p.eps:.4f}, E = {p.E:.4f}, grid = {r.grid_m} points")
+    print(f"  eps = {p.eps:.4f}, E = {p.E:.4f}, majorization checked at {r.grid_m} kernel points")
     print(f"  T1 = {r.t1:.4g}, T2 = {r.t2:.4g}, T3 = {r.t3:.4g}, H^3 = {r.h_cubed:.4g}")
     print(f"  J direct = {r.j_direct:.4g}")
     print(f"  majorant / J = {r.slack:.3f} with {r.majorization_violations} "

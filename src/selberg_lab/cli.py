@@ -153,13 +153,23 @@ def _table_matches(table, N: int, H: int, k: int) -> bool:
     return table.lo == max(N - H + 1, 1) and table.hi == 2 * N + H and table.k == k
 
 
-def _get_table(cfg: RunConfig, N: int, H: int):
+def _load_or_sieve(cfg: RunConfig, N: int, H: int):
+    """The (N, H) table and its cache status: "cache hit", or sieved because
+    the file is missing ("written") or unreadable or of another window ("rewritten")."""
     path = _cache_path(cfg, N, H)
     if path.is_file():
-        table = arith_core.load_table(path)
-        if _table_matches(table, N, H, cfg.k):
-            return table
-    return arith_core.sieve_dk(max(N - H + 1, 1), 2 * N + H, cfg.k)
+        try:
+            table = arith_core.load_table(path)
+            if _table_matches(table, N, H, cfg.k):
+                return table, "cache hit"
+        except ValueError:  # truncated or not a table file
+            pass
+    status = "rewritten" if path.is_file() else "written"
+    return arith_core.sieve_dk(max(N - H + 1, 1), 2 * N + H, cfg.k), status
+
+
+def _get_table(cfg: RunConfig, N: int, H: int):
+    return _load_or_sieve(cfg, N, H)[0]
 
 
 def cmd_sieve(cfg: RunConfig) -> int:
@@ -168,15 +178,8 @@ def cmd_sieve(cfg: RunConfig) -> int:
     lines = []
     for N, H in cells:
         path = _cache_path(cfg, N, H)
-        status = "cache hit"
-        if path.is_file():
-            table = arith_core.load_table(path)
-            if not _table_matches(table, N, H, cfg.k):
-                status = "rewritten"
-        else:
-            status = "written"
+        table, status = _load_or_sieve(cfg, N, H)
         if status != "cache hit":
-            table = arith_core.sieve_dk(max(N - H + 1, 1), 2 * N + H, cfg.k)
             arith_core.save_table(table, path)
         entries = 2 * N + H - max(N - H + 1, 1) + 1
         lines.append(

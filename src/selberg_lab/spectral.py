@@ -8,9 +8,9 @@ Everything here works with exponential sums truncated to the base range
 
 are evaluated exactly through correlation sums: the weights are
 trigonometric polynomials whose Fourier coefficients are the box and
-triangle autocorrelations, so no quadrature enters. Quadrature survives
-only as an independent cross-check and in the range-classified splitting
-of the sharp-window energy.
+triangle autocorrelations, so no quadrature enters; the range-classified
+split of the sharp-window energy pairs the correlation with interval indicators.
+Quadrature survives only as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .arith_core import BalancedSequence
 from .selberg import modified_selberg_integral, selberg_integral
 
 WEIGHTS = ("box2", "fejer2")
+KERNEL_SAMPLES = (1 << 16) + 1  # fixed kernel grid of the three-range majorization check
 
 
 @dataclass(frozen=True)
@@ -185,24 +186,85 @@ def spectral_energy(f: np.ndarray, H: int, weight: str = "box2") -> float:
     return compensated_sum(np.real(prod))
 
 
+def _interval_kernel(intervals, n: int) -> np.ndarray:
+    """Fourier coefficients 0..n-1 of the indicator of the union of [a, b] and [-b, -a].
+
+    kernel(0) = 2 * sum(b - a), kernel(d) = sum (sin(2*pi*d*b) - sin(2*pi*d*a)) / (pi*d).
+    """
+    d = np.arange(1, n, dtype=np.float64)
+    acc = np.zeros(n - 1)
+    for a, b in intervals:
+        acc += np.sin(2.0 * np.pi * b * d)
+        acc -= np.sin(2.0 * np.pi * a * d)
+    return np.concatenate(([2.0 * sum(b - a for a, b in intervals)], acc / (np.pi * d)))
+
+
+def _pair(kernel: np.ndarray, coeffs: np.ndarray) -> float:
+    """sum over |d| < len(coeffs) of kernel(d) * coeffs(d); both are even in d, given for d >= 0."""
+    return compensated_sum(np.concatenate(([kernel[0] * coeffs[0]], 2.0 * kernel[1:] * coeffs[1:])))
+
+
 def band_energy(f: np.ndarray, c: float) -> float:
     """int_{-c}^{c} |f^(alpha)|^2 d(alpha), exactly, from the correlation table.
 
-    The band indicator has Fourier transform kernel(0) = 2c and
-    kernel(d) = sin(2*pi*c*d) / (pi*d); the full correlation is paired
-    with it in O(range) time.
+    The one-interval case of _interval_kernel: kernel(0) = 2c and
+    kernel(d) = sin(2*pi*c*d) / (pi*d), paired with the full correlation
+    in O(range) time.
     """
     if not 0.0 <= c <= 0.5:
         raise ValueError("band half-width c must lie in [0, 1/2]")
     f = np.asarray(f)
     if c == 0.0:
         return 0.0
-    ac = full_correlation(f)
-    M = len(f)
-    d = np.arange(1, M, dtype=np.float64)
-    kern = np.sin(2.0 * np.pi * c * d) / (np.pi * d)
-    terms = np.concatenate(([2.0 * c * np.real(ac[0])], 2.0 * kern * np.real(ac[1:])))
-    return compensated_sum(terms)
+    return _pair(_interval_kernel([(0.0, c)], len(f)), np.real(full_correlation(f)))
+
+
+def _bisect(pred, inside: np.ndarray, outside: np.ndarray):
+    """Shrink each bracket to adjacent floats, keeping pred true at inside, false at outside."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        moving = (mid != inside) & (mid != outside)
+        if not moving.any():
+            return inside, outside
+        p = pred(mid)
+        inside = np.where(moving & p, mid, inside)
+        outside = np.where(moving & ~p, mid, outside)
+
+
+def kernel_intervals(H: int, c: float) -> np.ndarray:
+    """The alpha-intervals [a, b] of [0, 1/2] on which |u^(alpha)| > c, as rows.
+
+    One row per kernel lobe [k/H, (k+1)/H] whose peak exceeds c, so rows are
+    sorted and disjoint. log|u^| is concave on a lobe: its peak is bisected on
+    the sign of the derivative, then each side on |u^| > c to adjacent floats,
+    so |u^| > c at each endpoint and <= c at the float just outside. Needs c
+    above the rounding of |u^| at the lobe edges; empty for c >= H.
+    """
+    if c <= 0.0:
+        raise ValueError("threshold c must be positive")
+    if c >= H:
+        return np.empty((0, 2))
+    above = lambda a: dirichlet_kernel_abs(a, H) > c
+    lo = np.arange(0, (H + 1) // 2) / H
+    hi = np.minimum(np.arange(1, (H + 1) // 2 + 1) / H, 0.5)
+
+    def rising(a):  # d/da log|u^| > 0, i.e. H cot(pi H a) > cot(pi a)
+        x, y = np.pi * H * a, np.pi * a
+        return (H * np.cos(x) * np.sin(y) - np.cos(y) * np.sin(x)) * np.sin(x) > 0.0
+
+    peak = _bisect(rising, lo, hi)[0]
+    peak[0] = 0.0  # the main lobe peaks at alpha = 0
+    keep = above(peak)
+    lo, hi, peak = lo[keep], hi[keep], peak[keep]
+    left = _bisect(above, peak, lo)[0]
+    right = np.where(above(hi), hi, _bisect(above, peak, hi)[0])
+    return np.column_stack([left, right])
+
+
+def _in_intervals(alphas: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """Membership in the union of the rows [a, b]; index -1 hits the sentinel."""
+    i = np.searchsorted(iv[:, 0], alphas, side="right") - 1
+    return alphas <= np.append(iv[:, 1], -1.0)[i]
 
 
 def kernel_localization_check(H: int, eps: float, grid_m: int) -> int:
@@ -337,7 +399,7 @@ class ThreeRangeReport:
     H: int
     eps: float
     E: float
-    grid_m: int
+    grid_m: int  # kernel points the pointwise majorization was checked on
     t1: float
     t2: float
     t3: float
@@ -347,39 +409,20 @@ class ThreeRangeReport:
     slack: float
     majorization_violations: int
 
-    def to_record(self) -> dict:
-        return {
-            "check": "three_range_split",
-            "params": {
-                "N": self.N,
-                "H": self.H,
-                "eps": self.eps,
-                "E": self.E,
-                "grid_m": self.grid_m,
-            },
-            "lhs": self.j_direct,
-            "rhs": self.majorant,
-            "ratio": self.slack,
-            "violations": self.majorization_violations,
-            "slack": self.slack,
-        }
-
 
 def three_range_split(
-    f: BalancedSequence,
-    N: int,
-    H: int,
-    eps: float,
-    E: float,
-    grid_m: int | None = None,
+    f: BalancedSequence, N: int, H: int, eps: float, E: float
 ) -> ThreeRangeReport:
     """Split int |f^|^2 |u^|^2 by kernel size and majorize each range.
 
-    Grid points are classified by |u^|: at most [eps*H], between [eps*H]
-    and E*H, or above E*H. The three pieces are bounded pointwise by
-    eps^2 H^2 |f^|^2, E^2 H^2 |f^|^2 and |f^|^2 |u^|^4 / (E^2 H^2), and the
-    slack (T1+T2+T3+H^3) / J is reported. The grid must resolve the kernel
-    oscillations: at least 64*N points (rounded up to a power of two).
+    alpha is classified by |u^|: at most [eps*H], between [eps*H] and E*H,
+    or above E*H; the pieces are bounded pointwise by eps^2 H^2 |f^|^2,
+    E^2 H^2 |f^|^2 and |f^|^2 |u^|^4 / (E^2 H^2), and the slack
+    (T1+T2+T3+H^3) / J is reported. The upper ranges are unions of
+    kernel_intervals, so each piece pairs the full correlation of f with
+    interval kernels, exactly: T1 and T2 by Parseval minus interval
+    energies, T3 through the kernel convolved with the coefficients of
+    |u^|^4 (the box autocorrelation convolved with itself).
     """
     if f.N != N:
         raise ValueError("sequence metadata does not match N")
@@ -388,44 +431,37 @@ def three_range_split(
     m = math.floor(eps * H)
     if m < 1:
         raise ValueError("[eps*H] must be >= 1")
-    min_points = 64 * N
-    if grid_m is None:
-        grid_m = next_pow2(min_points)
-    elif grid_m < min_points:
-        raise ValueError(f"grid of {grid_m} points too coarse (need >= {min_points})")
-    M = next_pow2(grid_m)
-    t = f.truncated()
-    P = np.abs(np.fft.fft(t, M)) ** 2
-    alphas = np.fft.fftfreq(M)
-    u = dirichlet_kernel_abs(alphas, H)
     EH = E * H
-    r1 = u <= m
-    r3 = u > EH
-    r2 = ~r1 & ~r3
-    t1 = eps * eps * H * H * compensated_sum(P[r1]) / M
-    t2 = EH * EH * compensated_sum(P[r2]) / M
-    u3 = u[r3]
-    t3 = compensated_sum(P[r3] * (u3 * u3) * (u3 * u3)) / (EH * EH * M)
-    # per-point majorization, in rounding-monotone form
-    v1 = int(np.count_nonzero(u[r1] * u[r1] > float(m) * float(m)))
-    v2 = int(np.count_nonzero(u[r2] * u[r2] > EH * EH))
-    v3 = int(np.count_nonzero(u3 * EH > u3 * u3))
+    iv2, iv3 = kernel_intervals(H, m), kernel_intervals(H, EH)
+    ac = np.real(full_correlation(f.truncated()))
+    L, q = len(ac), 2 * H - 2
+    k2, k3 = _interval_kernel(iv2, L), _interval_kernel(iv3, L + q)
+    box = box_autocorrelation(H).values
+    k3w = np.convolve(np.concatenate([k3[q:0:-1], k3]), np.convolve(box, box), "valid")
+    e2, e3 = _pair(k2, ac), _pair(k3[:L], ac)
+    t1 = eps * eps * H * H * (ac[0] - e2)
+    t2 = EH * EH * (e2 - e3)
+    t3 = _pair(k3w, ac) / (EH * EH)
+    # per-point majorization, in rounding-monotone form, on a fixed grid over
+    # [0, 1/2] and on each interval endpoint with the float just outside it
+    ends = np.concatenate([iv2, iv3])
+    alphas = np.concatenate([np.linspace(0.0, 0.5, KERNEL_SAMPLES), ends.ravel(),
+                             np.clip(np.nextafter(ends, [-1.0, 1.0]), 0.0, 0.5).ravel()])
+    u = dirichlet_kernel_abs(alphas, H)
+    in3 = _in_intervals(alphas, iv3)
+    in2 = _in_intervals(alphas, iv2) & ~in3
+    u1, u2, u3 = u[~in2 & ~in3], u[in2], u[in3]
+    violations = int(
+        np.count_nonzero(u1 * u1 > float(m) * float(m))
+        + np.count_nonzero(u2 * u2 > EH * EH)
+        + np.count_nonzero(u3 * EH > u3 * u3)
+    )
     j_direct = selberg_integral(f, N, H).J
     h3 = float(H) ** 3
     majorant = t1 + t2 + t3 + h3
     slack = majorant / j_direct if j_direct > 0 else math.inf
     return ThreeRangeReport(
-        N=N,
-        H=H,
-        eps=eps,
-        E=E,
-        grid_m=M,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        h_cubed=h3,
-        majorant=majorant,
-        j_direct=j_direct,
-        slack=slack,
-        majorization_violations=v1 + v2 + v3,
+        N=N, H=H, eps=eps, E=E, grid_m=len(alphas), t1=t1, t2=t2, t3=t3,
+        h_cubed=h3, majorant=majorant, j_direct=j_direct, slack=slack,
+        majorization_violations=violations,
     )

@@ -1,9 +1,9 @@
 """Independent brute-force oracles the tests compare against.
 
 Nothing here shares code paths with the package: divisor counts come from
-ordered-tuple enumeration over divisor lists, energies from Riemann sums,
-window sums from plain Python loops, and the Stieltjes constants from an
-Euler-Maclaurin evaluation in mpmath.
+ordered-tuple enumeration over divisor lists, energies and the three-range
+split from Riemann sums, window sums from plain Python loops, and the
+Stieltjes constants from an Euler-Maclaurin evaluation in mpmath.
 """
 
 from __future__ import annotations
@@ -107,6 +107,30 @@ def band_quadrature(f, c: float, M: int) -> float:
         gr = g[i1] + (g[i1 + 1] - g[i1]) * (c - a[i1]) / dx
         total += (c - a[i1]) * 0.5 * (g[i1] + gr)
     return float(total)
+
+
+def three_range_grid(f, N: int, H: int, eps: float, E: float, M: int):
+    """(T1, T2, T3) of the three-range split as Riemann sums on the M-point
+    periodic grid, each point classified by the kernel value there.
+
+    The classified integrands jump where |u^| crosses a cutoff, so the error
+    shrinks only like 1/M; M must be far above N for a few digits.
+    """
+    if f.N != N:
+        raise ValueError("sequence metadata does not match N")
+    P = np.abs(np.fft.fft(np.asarray(f.truncated(), dtype=np.float64), M)) ** 2
+    alphas = np.fft.fftfreq(M)
+    s = np.abs(np.sin(np.pi * alphas))
+    num = np.abs(np.sin(np.pi * H * alphas))
+    u = np.divide(num, s, out=np.full_like(num, float(H)), where=s != 0.0)
+    EH = E * H
+    r1 = u <= math.floor(eps * H)
+    r3 = u > EH
+    r2 = ~r1 & ~r3
+    t1 = eps * eps * H * H * math.fsum(P[r1]) / M
+    t2 = EH * EH * math.fsum(P[r2]) / M
+    t3 = math.fsum(P[r3] * u[r3] ** 4) / (EH * EH * M)
+    return t1, t2, t3
 
 
 def stieltjes_euler_maclaurin(j: int, m: int = 1000, terms: int = 12):

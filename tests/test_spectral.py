@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from selberg_lab.arith_core import BalancedSequence, balanced_window
@@ -14,6 +16,7 @@ from selberg_lab.spectral import (
     dirichlet_kernel_abs,
     full_correlation,
     gallagher_check,
+    kernel_intervals,
     kernel_localization_check,
     kernel_profile,
     spectral_energy,
@@ -310,10 +313,13 @@ def test_three_range_rejects_bad_cutoffs():
         three_range_split(f, 512, 16, 0.5, 0.25)
 
 
-def test_three_range_refuses_coarse_grid():
+def test_three_range_signature_rejects_bad_eps_E():
     f = _zero_balanced(512, 16)
-    with pytest.raises(ValueError):
-        three_range_split(f, 512, 16, 0.25, 0.5, grid_m=1000)
+    for eps, E in ((0.0, 0.5), (-0.1, 0.5), (0.25, 1.5), (0.05, 0.5)):  # last: [eps*H] = 0
+        with pytest.raises(ValueError):
+            three_range_split(f, 512, 16, eps, E)
+    with pytest.raises(TypeError):  # the quadrature grid is gone
+        three_range_split(f, 512, 16, 0.25, 0.5, grid_m=1 << 16)
 
 
 def test_three_range_majorization_and_partition():
@@ -322,8 +328,58 @@ def test_three_range_majorization_and_partition():
     p = optimal_eps_E(0, H)
     r = three_range_split(f, N, H, p.eps, p.E)
     assert r.majorization_violations == 0
-    assert r.grid_m >= 64 * N
-    # the three majorants dominate the classified energy integral
-    quad = oracles.energy_quadrature(f.truncated(), H, "box2", r.grid_m)
-    assert r.t1 + r.t2 + r.t3 >= quad * (1 - 1e-12)
+    # the three majorants dominate the classified energy pointwise, so on
+    # any grid the oracle's pieces dominate the Riemann sum of the energy
+    M = 1 << 18
+    grid = oracles.three_range_grid(f, N, H, p.eps, p.E, M)
+    quad = oracles.energy_quadrature(f.truncated(), H, "box2", M)
+    assert sum(grid) >= quad * (1 - 1e-12)
+    assert r.t1 + r.t2 + r.t3 >= spectral_energy(f.truncated(), H, "box2") * (1 - 1e-12)
     assert r.slack == (r.t1 + r.t2 + r.t3 + r.h_cubed) / r.j_direct
+
+
+@pytest.mark.parametrize(
+    "cutoffs, slack_rel",
+    [
+        (None, 1e-6),  # balancing cutoffs: main lobes only at this H
+        ((0.1, 0.2), 1e-5),  # low cutoffs: 8 and 2 intervals, side lobes included
+    ],
+)
+def test_three_range_agrees_with_grid_oracle(cutoffs, slack_rel):
+    # the grid converges like 1/M (its integrands jump at the cutoffs), so
+    # the exact split is the reference and the tolerance is the grid's
+    N, H = 1024, 16
+    f = balanced_window(N, H)
+    p = optimal_eps_E(0, H)
+    eps, E = cutoffs or (p.eps, p.E)
+    r = three_range_split(f, N, H, eps, E)
+    assert r.majorization_violations == 0
+    grid = oracles.three_range_grid(f, N, H, eps, E, 1 << 22)
+    for exact, quad in zip((r.t1, r.t2, r.t3), grid):
+        assert exact == pytest.approx(quad, rel=1e-4)
+    assert r.slack == pytest.approx((sum(grid) + r.h_cubed) / r.j_direct, rel=slack_rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=st.integers(2, 300), q=st.floats(1e-9, 1.0, exclude_max=True))
+def test_kernel_intervals_threshold_property(H, q):
+    c = q * H
+    iv = kernel_intervals(H, c)
+    a, b = iv[:, 0], iv[:, 1]
+    assert a[0] == 0.0 and np.all(a <= b) and np.all(b[:-1] < a[1:]) and b[-1] <= 0.5
+    # each endpoint has |u^| > c and the float just outside it |u^| <= c
+    assert np.all(dirichlet_kernel_abs(iv, H) > c)
+    outside = np.nextafter(iv, [-1.0, 1.0])[(iv > 0.0) & (iv < 0.5)]
+    assert np.all(dirichlet_kernel_abs(outside, H) <= c)
+    alphas = np.linspace(0.0, 0.5, 1 << 14)
+    i = np.searchsorted(a, alphas, side="right") - 1
+    inside = (i >= 0) & (alphas <= b[np.maximum(i, 0)])
+    assert np.array_equal(inside, dirichlet_kernel_abs(alphas, H) > c)
+
+
+def test_kernel_intervals_edges():
+    assert kernel_intervals(1, 0.5).tolist() == [[0.0, 0.5]]  # |u^| = 1 throughout
+    assert kernel_intervals(9, 0.99)[-1, 1] == 0.5  # odd H: half lobe ends at 1/2
+    assert kernel_intervals(16, 16.0).shape == (0, 2)
+    with pytest.raises(ValueError):
+        kernel_intervals(16, 0.0)
