@@ -22,6 +22,7 @@ from selberg_lab import (
     three_range_split,
     triangle_autocorrelation,
 )
+from selberg_lab.spectral import full_correlation
 
 RULE = "-" * 72
 
@@ -58,8 +59,9 @@ def main():
     print(RULE)
 
     print("modified Gallagher comparison h^2 * band energy vs J~ + h^3:")
+    ac = np.real(full_correlation(t))  # one autocorrelation serves every band
     for h in (10, 20, 40):
-        g = gallagher_check(f, N, h)
+        g = gallagher_check(f, N, h, ac=ac)
         print(f"  h = {h:3d}: lhs = {g.lhs:.4g}, rhs = {g.rhs:.4g}, ratio = {g.ratio:.3f}")
     print(RULE)
 

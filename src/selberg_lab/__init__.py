@@ -53,6 +53,7 @@ from .spectral import (
     gallagher_check,
     kernel_localization_check,
     kernel_profile,
+    route_correlation,
     spectral_energy,
     three_range_split,
     triangle_autocorrelation,

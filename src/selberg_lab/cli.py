@@ -17,14 +17,19 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import arith_core, asymptotics
+from ._util import MAX_H_EXPONENT, at_most_power, floor_power
 from .selberg import CSV_HEADER, MEAN_MODES, METHODS, integral_pair
 from .verification import VerifyConfig, run_verification
 
 CACHE_ENV = "SELBERG_LAB_CACHE"
 DEFAULT_CACHE = ".selberg-cache"
+# floor(N^theta) compares H^q with N^p exactly for theta = p/q; a larger q
+# makes those integers too long to compare quickly
+MAX_THETA_DENOMINATOR = 10**5
 
 
 class ConfigError(Exception):
@@ -35,7 +40,7 @@ class ConfigError(Exception):
 class RunConfig:
     n_list: list[int]
     h_list: list[int] | None
-    theta: float | None
+    theta: Fraction | None
     k: int
     mean_mode: str
     method: str
@@ -56,11 +61,11 @@ class RunConfig:
             if N < 1:
                 raise ConfigError(f"N must be >= 1, got {N}")
             if self.theta is not None:
-                hs = [int(N**self.theta)]
+                hs = [floor_power(N, self.theta)]
             else:
                 hs = self.h_list
             for H in hs:
-                if not 1 <= H <= N**0.49:
+                if not (1 <= H and at_most_power(H, N, MAX_H_EXPONENT)):
                     raise ConfigError(f"H={H} outside [1, N^0.49] at N={N}")
                 out.append((N, H))
         return out
@@ -81,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_)
         q.add_argument("--n", action="append", type=int, help="window size N (repeatable)")
         q.add_argument("--h", action="append", type=int, help="interval length H (repeatable)")
-        q.add_argument("--theta", type=float, help="derive H = floor(N^theta), theta in (0, 0.49]")
+        q.add_argument("--theta", type=Fraction,
+                       help="derive H = floor(N^theta), theta in (0, 0.49], a decimal or p/q")
         q.add_argument("--k", type=int, default=3, help="divisor order (default 3)")
         q.add_argument("--mean", choices=MEAN_MODES, default="residue", help="subtracted mean convention")
         q.add_argument("--method", choices=METHODS, default="sliding", help="integral evaluation method")
@@ -103,8 +109,10 @@ def _config_from_args(args) -> RunConfig:
     if args.theta is not None:
         if args.h:
             raise ConfigError("--theta and --h are mutually exclusive")
-        if not 0.0 < args.theta <= 0.49:
+        if not 0 < args.theta <= MAX_H_EXPONENT:
             raise ConfigError("theta must lie in (0, 0.49]")
+        if args.theta.denominator > MAX_THETA_DENOMINATOR:
+            raise ConfigError(f"theta must have a denominator of at most {MAX_THETA_DENOMINATOR}")
     if args.k < 2:
         raise ConfigError("k must be >= 2")
     if args.threads < 1:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import compensated_sum
 from .arith_core import LogPolynomial, Window
@@ -21,6 +22,7 @@ CSV_HEADER = "N,H,J,J_tilde,ratio_J,ratio_J_tilde,lower_ratio,method,mean_mode"
 
 MEAN_MODES = ("residue", "window-poly")
 METHODS = ("sliding", "brute")
+BRUTE_CHUNK_ELEMENTS = 1 << 20  # window elements one brute triangle product copies
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,17 @@ def _combined(f: Window, poly: LogPolynomial | None) -> np.ndarray:
     return np.asarray(f.values, dtype=np.float64) + poly(np.log(n))
 
 
+def _summand_and_mean(f: Window, xs: np.ndarray, H: int, poly, mean_mode: str):
+    """The summed values g and the subtracted mean at each x.
+
+    In "window-poly" mode g is f alone and the mean is 0; in "residue" mode g
+    is f + poly(log n) and the mean is H * poly(log x).
+    """
+    if mean_mode == "window-poly" or poly is None or poly.is_zero():
+        return np.asarray(f.values, dtype=np.float64), 0.0
+    return _combined(f, poly), H * poly(np.log(xs.astype(np.float64)))
+
+
 def box_deviations(
     f: Window,
     x_first: int,
@@ -138,24 +151,16 @@ def box_deviations(
     if not f.covers(x_first + 1, x_last + H):
         raise ValueError("window does not cover the x range plus H")
     xs = np.arange(x_first, x_last + 1, dtype=np.int64)
-    if mean_mode == "window-poly":
-        g = np.asarray(f.values, dtype=np.float64)
-        mean = 0.0
-    else:
-        g = _combined(f, poly)
-        mean = (
-            0.0
-            if poly is None or poly.is_zero()
-            else H * poly(np.log(xs.astype(np.float64)))
-        )
+    g, mean = _summand_and_mean(f, xs, H, poly, mean_mode)
     if method == "sliding":
         prefix = np.concatenate(([0.0], np.cumsum(g)))
         i = xs - f.lo + 1
         sums = prefix[i + H] - prefix[i]
     else:
-        sums = np.array(
-            [np.sum(g[x + 1 - f.lo : x + H + 1 - f.lo]) for x in xs], dtype=np.float64
-        )
+        # row k of the view is the window ]x, x+H] of x = x_first + k; a basic
+        # slice of it copies nothing
+        i0 = x_first + 1 - f.lo
+        sums = sliding_window_view(g, H)[i0 : i0 + len(xs)].sum(axis=1)
     return sums - mean
 
 
@@ -177,16 +182,7 @@ def triangle_deviations(
     if not f.covers(x_first - H, x_last + H):
         raise ValueError("window does not cover the x range plus [-H, H]")
     xs = np.arange(x_first, x_last + 1, dtype=np.int64)
-    if mean_mode == "window-poly":
-        g = np.asarray(f.values, dtype=np.float64)
-        mean = 0.0
-    else:
-        g = _combined(f, poly)
-        mean = (
-            0.0
-            if poly is None or poly.is_zero()
-            else H * poly(np.log(xs.astype(np.float64)))
-        )
+    g, mean = _summand_and_mean(f, xs, H, poly, mean_mode)
     if method == "sliding":
         prefix = np.concatenate(([0.0], np.cumsum(g)))
         y0 = x_first - H  # earliest y with S(y) needed
@@ -198,11 +194,16 @@ def triangle_deviations(
         j = xs - y0
         sums = (bprefix[j] - bprefix[j - H]) / H
     else:
+        # row k of the view is the window [x-H, x+H] of x = x_first + k; the
+        # product runs one chunk of rows at a time, so any copy numpy makes of
+        # its operand stays O(chunk * H) elements
         w = 1.0 - np.abs(np.arange(-H, H + 1, dtype=np.float64)) / H
-        sums = np.array(
-            [np.dot(w, g[x - H - f.lo : x + H + 1 - f.lo]) for x in xs],
-            dtype=np.float64,
-        )
+        i0 = x_first - H - f.lo
+        rows = sliding_window_view(g, 2 * H + 1)[i0 : i0 + len(xs)]
+        step = max(1, BRUTE_CHUNK_ELEMENTS // (2 * H + 1))
+        sums = np.empty(len(xs))
+        for k in range(0, len(xs), step):
+            sums[k : k + step] = rows[k : k + step] @ w
     return sums - mean
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import compensated_sum, next_pow2
+from ._util import MAX_H_EXPONENT, at_most_power, compensated_sum, next_pow2
 from .arith_core import BalancedSequence
-from .selberg import modified_selberg_integral, selberg_integral
+from .selberg import IntegralReport, modified_selberg_integral, selberg_integral
 
 WEIGHTS = ("box2", "fejer2")
 KERNEL_SAMPLES = (1 << 16) + 1  # fixed kernel grid of the three-range majorization check
@@ -50,6 +50,12 @@ class CorrelationTable:
 
     def shifts(self) -> np.ndarray:
         return np.arange(-self.hmax, self.hmax + 1)
+
+    def window(self, hmax: int) -> np.ndarray:
+        """The values for shifts in [-hmax, hmax], a view of the table."""
+        if not 0 <= hmax <= self.hmax:
+            raise ValueError(f"shift range {hmax} outside [0, {self.hmax}]")
+        return self.values[self.hmax - hmax : self.hmax + hmax + 1]
 
 
 @dataclass(frozen=True)
@@ -204,19 +210,30 @@ def _pair(kernel: np.ndarray, coeffs: np.ndarray) -> float:
     return compensated_sum(np.concatenate(([kernel[0] * coeffs[0]], 2.0 * kernel[1:] * coeffs[1:])))
 
 
-def band_energy(f: np.ndarray, c: float) -> float:
+def band_energy(f: np.ndarray, c: float, ac: np.ndarray | None = None) -> float:
     """int_{-c}^{c} |f^(alpha)|^2 d(alpha), exactly, from the correlation table.
 
     The one-interval case of _interval_kernel: kernel(0) = 2c and
     kernel(d) = sin(2*pi*c*d) / (pi*d), paired with the full correlation
-    in O(range) time.
+    in O(range) time. A caller that already holds the full correlation,
+    np.real(full_correlation(f)), passes it as ac.
     """
     if not 0.0 <= c <= 0.5:
         raise ValueError("band half-width c must lie in [0, 1/2]")
     f = np.asarray(f)
     if c == 0.0:
         return 0.0
-    return _pair(_interval_kernel([(0.0, c)], len(f)), np.real(full_correlation(f)))
+    ac = _full_real_correlation(f, ac)
+    return _pair(_interval_kernel([(0.0, c)], len(f)), ac)
+
+
+def _full_real_correlation(f: np.ndarray, ac: np.ndarray | None) -> np.ndarray:
+    """ac if given (it must cover every lag of f), else np.real(full_correlation(f))."""
+    if ac is None:
+        return np.real(full_correlation(f))
+    if len(ac) != len(f):
+        raise ValueError(f"correlation has {len(ac)} lags, sequence has length {len(f)}")
+    return ac
 
 
 def _bisect(pred, inside: np.ndarray, outside: np.ndarray):
@@ -298,44 +315,67 @@ class CorrelationRouteReport:
     norm_diff_j: float
     norm_diff_jt: float
 
-    def to_record(self) -> dict:
-        return {
-            "check": "correlation_route",
-            "params": {"N": self.N, "H": self.H},
-            "lhs": self.j_direct,
-            "rhs": self.j_corr,
-            "ratio": self.norm_diff_j,
-            "violations": None,
-            "slack": self.norm_diff_jt,
-        }
-
 
 def _require_modest_h(N: int, H: int, label: str) -> None:
-    if H > N**0.49:
+    if not at_most_power(H, N, MAX_H_EXPONENT):
         raise ValueError(f"{label}: H={H} exceeds N^0.49 at N={N}")
 
 
-def correlation_route_check(f: BalancedSequence, N: int, H: int) -> CorrelationRouteReport:
+def _require_direct(f: BalancedSequence, N: int, H: int, direct: IntegralReport | None, label: str):
+    if f.N != N:
+        raise ValueError("sequence metadata does not match N")
+    if direct is not None and (direct.N, direct.H) != (N, H):
+        raise ValueError(
+            f"{label}: direct integrals are for (N, H) = ({direct.N}, {direct.H}), not ({N}, {H})"
+        )
+
+
+def route_correlation(f: BalancedSequence, N: int, hmax: int) -> CorrelationTable:
+    """The correlation of f with its outer index on ]N, 2N], for shifts up to hmax.
+
+    correlation_route_check pairs it with the weights of H; hmax = 2H - 2
+    covers the triangle weight of every H up to that one.
+    """
+    return correlation(f.values, hmax, method="fft", base=_base_range(f, N))
+
+
+def _base_range(f: BalancedSequence, N: int) -> tuple[int, int]:
+    """The index range of ]N, 2N] in f.values, half-open."""
+    return N + 1 - f.lo, 2 * N + 1 - f.lo
+
+
+def correlation_route_check(
+    f: BalancedSequence,
+    N: int,
+    H: int,
+    direct: IntegralReport | None = None,
+    cf: CorrelationTable | None = None,
+) -> CorrelationRouteReport:
     """Both integrals, both routes; discrepancies are reported per H^3.
 
     The correlation C_f has its outer index restricted to ]N, 2N] and the
     inner one clipped to the available window, so the two routes differ by
     range-edge products; that discrepancy is the H^3-order boundary term
-    being tracked.
+    being tracked. A caller that shares them across checks passes the
+    direct route as direct, integral_pair(f, N, H) without a polynomial,
+    and cf, route_correlation(f, N, hmax) for some hmax >= 2H - 2 (its
+    values do not depend on hmax).
     """
-    if f.N != N:
-        raise ValueError("sequence metadata does not match N")
+    _require_direct(f, N, H, direct, "correlation_route_check")
     _require_modest_h(N, H, "correlation_route_check")
-    base = (N + 1 - f.lo, 2 * N + 1 - f.lo)
-    j_direct = selberg_integral(f, N, H).J
-    jt_direct = modified_selberg_integral(f, N, H).J_tilde
+    if cf is None:
+        cf = route_correlation(f, N, 2 * H - 2)
+    elif (cf.base_lo, cf.base_hi) != _base_range(f, N):
+        raise ValueError("correlation_route_check: cf is not based on ]N, 2N]")
+    if direct is None:
+        j_direct = selberg_integral(f, N, H).J
+        jt_direct = modified_selberg_integral(f, N, H).J_tilde
+    else:
+        j_direct, jt_direct = direct.J, direct.J_tilde
     cu = box_autocorrelation(H)
-    cf = correlation(f.values, cu.hmax, method="fft", base=base)
-    j_corr = compensated_sum(np.real(cu.values * cf.values))
+    j_corr = compensated_sum(np.real(cu.values * cf.window(cu.hmax)))
     cw = triangle_autocorrelation(H)
-    cfw = correlation(f.values, min(cw.hmax, len(f.values) - 1), method="fft", base=base)
-    w = cw.values[cw.hmax - cfw.hmax : cw.hmax + cfw.hmax + 1]
-    jt_corr = compensated_sum(np.real(w * cfw.values))
+    jt_corr = compensated_sum(np.real(cw.values * cf.window(cw.hmax)))
     h3 = float(H) ** 3
     return CorrelationRouteReport(
         N=N,
@@ -363,27 +403,26 @@ class GallagherReport:
     rhs: float
     ratio: float
 
-    def to_record(self) -> dict:
-        return {
-            "check": "gallagher",
-            "params": {"N": self.N, "h": self.h},
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "violations": None,
-            "slack": None,
-        }
 
+def gallagher_check(
+    f: BalancedSequence,
+    N: int,
+    h: int,
+    direct: IntegralReport | None = None,
+    ac: np.ndarray | None = None,
+) -> GallagherReport:
+    """Compare h^2 * int_{|a|<=1/(2h)} |f^|^2 with J~(N,h) + h^3.
 
-def gallagher_check(f: BalancedSequence, N: int, h: int) -> GallagherReport:
-    """Compare h^2 * int_{|a|<=1/(2h)} |f^|^2 with J~(N,h) + h^3."""
-    if f.N != N:
-        raise ValueError("sequence metadata does not match N")
+    A caller that shares them across checks passes J~ as direct,
+    integral_pair(f, N, h) without a polynomial, and the correlation as
+    ac, np.real(full_correlation(f.truncated())).
+    """
+    _require_direct(f, N, h, direct, "gallagher_check")
     if h < 10:
         raise ValueError("h must be >= 10 (large-h regime)")
     _require_modest_h(N, h, "gallagher_check")
-    band = band_energy(f.truncated(), 1.0 / (2.0 * h))
-    jt = modified_selberg_integral(f, N, h).J_tilde
+    band = band_energy(f.truncated(), 1.0 / (2.0 * h), ac)
+    jt = modified_selberg_integral(f, N, h).J_tilde if direct is None else direct.J_tilde
     lhs = h * h * band
     rhs = jt + float(h) ** 3
     return GallagherReport(
@@ -411,7 +450,13 @@ class ThreeRangeReport:
 
 
 def three_range_split(
-    f: BalancedSequence, N: int, H: int, eps: float, E: float
+    f: BalancedSequence,
+    N: int,
+    H: int,
+    eps: float,
+    E: float,
+    direct: IntegralReport | None = None,
+    ac: np.ndarray | None = None,
 ) -> ThreeRangeReport:
     """Split int |f^|^2 |u^|^2 by kernel size and majorize each range.
 
@@ -422,10 +467,12 @@ def three_range_split(
     kernel_intervals, so each piece pairs the full correlation of f with
     interval kernels, exactly: T1 and T2 by Parseval minus interval
     energies, T3 through the kernel convolved with the coefficients of
-    |u^|^4 (the box autocorrelation convolved with itself).
+    |u^|^4 (the box autocorrelation convolved with itself). A caller that
+    shares them across checks passes J as direct, integral_pair(f, N, H)
+    without a polynomial, and the correlation as ac,
+    np.real(full_correlation(f.truncated())).
     """
-    if f.N != N:
-        raise ValueError("sequence metadata does not match N")
+    _require_direct(f, N, H, direct, "three_range_split")
     if not 0.0 < eps < E <= 1.0:
         raise ValueError("need 0 < eps < E <= 1")
     m = math.floor(eps * H)
@@ -433,7 +480,7 @@ def three_range_split(
         raise ValueError("[eps*H] must be >= 1")
     EH = E * H
     iv2, iv3 = kernel_intervals(H, m), kernel_intervals(H, EH)
-    ac = np.real(full_correlation(f.truncated()))
+    ac = _full_real_correlation(f.truncated(), ac)
     L, q = len(ac), 2 * H - 2
     k2, k3 = _interval_kernel(iv2, L), _interval_kernel(iv3, L + q)
     box = box_autocorrelation(H).values
@@ -456,7 +503,7 @@ def three_range_split(
         + np.count_nonzero(u2 * u2 > EH * EH)
         + np.count_nonzero(u3 * EH > u3 * u3)
     )
-    j_direct = selberg_integral(f, N, H).J
+    j_direct = selberg_integral(f, N, H).J if direct is None else direct.J
     h3 = float(H) ** 3
     majorant = t1 + t2 + t3 + h3
     slack = majorant / j_direct if j_direct > 0 else math.inf

@@ -269,8 +269,16 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
     f = arith_core.balanced_window(cfg.N, margin, cfg.k)
     _check_integral_methods(cfg, records, f)
 
+    # shared by the checks below, each computed once: the direct J and J~
+    # of every H (no polynomial, as the correlations see f), one based
+    # correlation covering every H's triangle weight, and the full
+    # autocorrelation of f on ]N, 2N]
+    direct = {H: integral_pair(f, cfg.N, H) for H in cfg.h_list}
+    cf = spectral.route_correlation(f, cfg.N, 2 * margin - 2)
+    ac = np.real(spectral.full_correlation(f.truncated()))
+
     for H in cfg.h_list:
-        r = spectral.correlation_route_check(f, cfg.N, H)
+        r = spectral.correlation_route_check(f, cfg.N, H, direct[H], cf)
         records.append(
             VerificationRecord(
                 check="correlation_route",
@@ -285,7 +293,7 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
         )
     for h in cfg.h_list:
         if h >= 10:
-            g = spectral.gallagher_check(f, cfg.N, h)
+            g = spectral.gallagher_check(f, cfg.N, h, direct[h], ac)
             records.append(
                 VerificationRecord(
                     check="gallagher",
@@ -299,7 +307,7 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
     H = min(cfg.h_list)
     if math.floor(asymptotics.optimal_eps_E(0, H).eps * H) >= 1:
         p = asymptotics.optimal_eps_E(0, H)
-        t = spectral.three_range_split(f, cfg.N, H, p.eps, p.E)
+        t = spectral.three_range_split(f, cfg.N, H, p.eps, p.E, direct[H], ac)
         records.append(
             VerificationRecord(
                 check="three_range_split",

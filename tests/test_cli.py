@@ -118,6 +118,40 @@ def test_selberg_theta_rows_increasing():
     assert hs == [int(n**0.25) for n in ns]
 
 
+def _cells(*argv):
+    return cli._config_from_args(cli._build_parser().parse_args(["selberg", *argv])).cells()
+
+
+@pytest.mark.parametrize("N, theta, H", [
+    (1024, "0.3", 8),        # 1024^0.3 = 8 exactly; float pow gives 7.99...
+    (59049, "0.3", 27),      # 3^10 -> 3^3
+    (1048576, "0.15", 8),    # 2^20 -> 2^3
+    (10**6, "1/3", 100),
+])
+def test_theta_floors_exactly(N, theta, H):
+    assert _cells("--n", str(N), "--theta", theta) == [(N, H)]
+
+
+def test_theta_cli_row_uses_exact_floor():
+    res = run_cli("selberg", "--n", "1024", "--theta", "0.3")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[1].startswith("1024,8,")
+
+
+def test_h_bound_at_the_049_edge():
+    # H = N^0.49 exactly: 2^49 at N = 2^100, where float pow puts N^0.49 just below H
+    N = 2**100
+    assert 2**49 > N**0.49
+    assert _cells("--n", str(N), "--h", str(2**49)) == [(N, 2**49)]
+    with pytest.raises(cli.ConfigError):
+        _cells("--n", str(N), "--h", str(2**49 + 1))
+    assert _cells("--n", str(N), "--theta", "0.49") == [(N, 2**49)]
+
+
+def test_theta_with_long_denominator_is_config_error():
+    assert run_cli("selberg", "--n", "1000", "--theta", "0.1234567").returncode == 2
+
+
 def test_selberg_brute_agrees_with_sliding():
     a = run_cli("selberg", "--n", "1000", "--h", "10", "--method", "sliding")
     b = run_cli("selberg", "--n", "1000", "--h", "10", "--method", "brute")

@@ -1,0 +1,52 @@
+"""Pinned CLI outputs in tests/golden/, written before the brute oracle was
+vectorised and before verify shared its integrals and correlations.
+
+verify and the sliding selberg grid must stay byte-identical. The brute
+grid keeps J and every text field byte-identical; its J~ rows come from
+a matrix-vector product whose rounding differs from one dot product per
+row, so J~ and its ratio are held to a relative 1e-13.
+"""
+
+import csv
+import io
+from pathlib import Path
+
+import pytest
+
+from test_cli import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+GRID = ("selberg", "--n", "1000", "--n", "20000", "--h", "7", "--h", "29")
+MEAN_MODES = ("residue", "window-poly")
+
+
+def _golden(name):
+    return (GOLDEN / name).read_text()
+
+
+def test_verify_golden_n10000():
+    res = run_cli("verify", "--n", "10000")
+    assert res.returncode == 0
+    assert res.stdout == _golden("verify_n10000.jsonl")
+
+
+@pytest.mark.parametrize("mean_mode", MEAN_MODES)
+def test_selberg_sliding_golden(mean_mode):
+    res = run_cli(*GRID, "--mean", mean_mode)
+    assert res.returncode == 0
+    assert res.stdout == _golden(f"selberg_sliding_{mean_mode}.csv")
+
+
+@pytest.mark.parametrize("mean_mode", MEAN_MODES)
+def test_selberg_brute_golden(mean_mode):
+    res = run_cli(*GRID, "--mean", mean_mode, "--method", "brute")
+    assert res.returncode == 0
+    got = list(csv.DictReader(io.StringIO(res.stdout)))
+    want = list(csv.DictReader(io.StringIO(_golden(f"selberg_brute_{mean_mode}.csv"))))
+    assert res.stdout.splitlines()[0] == _golden(f"selberg_brute_{mean_mode}.csv").splitlines()[0]
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        for key in ("N", "H", "J", "ratio_J", "lower_ratio", "method", "mean_mode"):
+            assert g[key] == w[key], key
+        for key in ("J_tilde", "ratio_J_tilde"):
+            assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-13, abs=0), key

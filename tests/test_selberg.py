@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from selberg_lab.arith_core import (
@@ -254,3 +257,53 @@ def test_integral_preconditions():
         selberg_integral(f, N, H, method="fancy")
     with pytest.raises(ValueError):
         selberg_integral(f, N, H, mean_mode="other")
+
+
+# ------------------------------------------------------- the brute oracle
+
+
+@st.composite
+def _cells(draw):
+    N = draw(st.integers(64, 4000))
+    return N, draw(st.integers(1, N // 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=_cells(), mean_mode=st.sampled_from(["residue", "window-poly"]))
+def test_brute_equals_sliding_property(cell, mean_mode):
+    N, H = cell
+    f = balanced_window(N, H)
+    q3 = residue_polynomial(3)
+    a = integral_pair(f, N, H, q3, method="sliding", mean_mode=mean_mode)
+    b = integral_pair(f, N, H, q3, method="brute", mean_mode=mean_mode)
+    assert b.J == pytest.approx(a.J, rel=1e-9)
+    assert b.J_tilde == pytest.approx(a.J_tilde, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=_cells(), data=st.data())
+def test_brute_deviations_equal_pointwise_sums(cell, data):
+    # the brute profiles are direct window sums: the box one equals short_sum
+    # bit for bit, the triangle one cesaro_sum up to the order of the products
+    N, H = cell
+    f = balanced_window(N, H)
+    box = box_deviations(f, N + 1, 2 * N, H, method="brute")
+    tri = triangle_deviations(f, N + 1, 2 * N, H, method="brute")
+    xs = data.draw(st.lists(st.integers(N + 1, 2 * N), min_size=1, max_size=8))
+    for x in xs + [N + 1, 2 * N]:
+        assert box[x - N - 1] == short_sum(f, x, H)
+        scale = max(float(np.sum(np.abs(f.slice(x - H - 1, x + H)))), 1.0)
+        assert abs(tri[x - N - 1] - cesaro_sum(f, x, H)) <= 1e-12 * scale
+
+
+def test_brute_triangle_memory_is_bounded():
+    # an N x (2H+1) copy of the windows would take about 400 MB here
+    N, H = 10**5, 250
+    f = balanced_window(N, H)
+    tracemalloc.start()
+    try:
+        triangle_deviations(f, N + 1, 2 * N, H, method="brute")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from selberg_lab.arith_core import BalancedSequence, balanced_window
 from selberg_lab.asymptotics import optimal_eps_E
+from selberg_lab.selberg import integral_pair
 from selberg_lab.spectral import (
     band_energy,
     box_autocorrelation,
@@ -19,6 +20,7 @@ from selberg_lab.spectral import (
     kernel_intervals,
     kernel_localization_check,
     kernel_profile,
+    route_correlation,
     spectral_energy,
     three_range_split,
     triangle_autocorrelation,
@@ -261,8 +263,6 @@ def test_correlation_route_balanced_reported(balanced_1e4):
     r = correlation_route_check(balanced_1e4, 10**4, 20)
     assert math.isfinite(r.norm_diff_j) and math.isfinite(r.norm_diff_jt)
     assert r.j_direct > 0 and r.j_corr > 0
-    rec = r.to_record()
-    assert {"check", "params", "lhs", "rhs", "ratio"} <= rec.keys()
 
 
 def test_correlation_route_guard():
@@ -383,3 +383,33 @@ def test_kernel_intervals_edges():
     assert kernel_intervals(16, 16.0).shape == (0, 2)
     with pytest.raises(ValueError):
         kernel_intervals(16, 0.0)
+
+
+# ------------------------------------------------ values shared by callers
+
+
+def test_shared_values_are_checked(balanced_1e4):
+    f, N = balanced_1e4, 10**4
+    other = integral_pair(f, N, 21)
+    with pytest.raises(ValueError):
+        correlation_route_check(f, N, 20, other)
+    with pytest.raises(ValueError):
+        gallagher_check(f, N, 20, other)
+    with pytest.raises(ValueError):
+        three_range_split(f, N, 20, 0.25, 0.5, other)
+    with pytest.raises(ValueError):  # not based on ]N, 2N]
+        correlation_route_check(f, N, 20, cf=correlation(f.values, 38))
+    with pytest.raises(ValueError):  # too few shifts for H = 20's triangle weight
+        correlation_route_check(f, N, 20, cf=route_correlation(f, N, 37))
+    with pytest.raises(ValueError):  # not the correlation of this sequence
+        band_energy(f.truncated(), 0.01, np.ones(10))
+
+
+def test_route_correlation_slices_are_per_h_tables(balanced_1e4):
+    # one table at the largest H serves every smaller H with the same floats
+    f, N = balanced_1e4, 10**4
+    big = route_correlation(f, N, 2 * 40 - 2)
+    for h in (0, 9, 18, 38):
+        assert np.array_equal(big.window(h), route_correlation(f, N, h).values)
+    for H in (10, 20):
+        assert correlation_route_check(f, N, H, cf=big) == correlation_route_check(f, N, H)

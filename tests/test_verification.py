@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from selberg_lab import balanced_window, cli, residue_polynomial, spectral
+from selberg_lab.asymptotics import optimal_eps_E
 from selberg_lab.selberg import integral_pair
 from selberg_lab.spectral import CorrelationTable
 from selberg_lab.verification import VerifyConfig, run_verification
@@ -52,3 +53,31 @@ def test_divisor_order_two_pipeline():
     rep = integral_pair(f, N, H, q2)
     assert rep.J > 0 and rep.J_tilde > 0
     assert abs(float(np.mean(f.truncated()))) < 1.0
+
+
+def test_shared_values_match_each_check_alone():
+    # verify takes each integral and correlation once and hands it to every
+    # check; the records must carry the floats each check computes on its own
+    N, hs = 2000, (10, 20)
+    records, _ = run_verification(VerifyConfig(N=N, h_list=hs))
+    f = balanced_window(N, max(hs))
+    route = {r.params["H"]: r for r in records if r.check == "correlation_route"}
+    gall = {r.params["h"]: r for r in records if r.check == "gallagher"}
+    (three,) = [r for r in records if r.check == "three_range_split"]
+    for H in hs:
+        r = spectral.correlation_route_check(f, N, H)
+        assert (route[H].lhs, route[H].rhs, route[H].ratio, route[H].slack) == (
+            r.j_direct, r.j_corr, r.norm_diff_j, r.norm_diff_jt)
+        g = spectral.gallagher_check(f, N, H)
+        assert (gall[H].lhs, gall[H].rhs, gall[H].ratio) == (g.lhs, g.rhs, g.ratio)
+    p = optimal_eps_E(0, min(hs))
+    t = spectral.three_range_split(f, N, min(hs), p.eps, p.E)
+    assert (three.lhs, three.rhs, three.slack) == (t.j_direct, t.majorant, t.slack)
+
+
+def test_correlation_route_record_layout():
+    records, _ = run_verification(VerifyConfig(N=2000, h_list=(10,)))
+    (rec,) = [r.to_record() for r in records if r.check == "correlation_route"]
+    assert {"check", "params", "lhs", "rhs", "ratio"} <= rec.keys()
+    assert rec["params"] == {"N": 2000, "H": 10}
+    assert rec["hard"] is False and rec["lhs"] > 0 and rec["rhs"] > 0
