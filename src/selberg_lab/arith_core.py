@@ -117,10 +117,6 @@ class LogPolynomial:
             return float(acc)
         return acc
 
-    def at(self, x):
-        """Evaluate at L = log x."""
-        return self(np.log(np.asarray(x, dtype=np.float64)))
-
     @staticmethod
     def zero() -> "LogPolynomial":
         return LogPolynomial((0.0,))

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,24 +210,7 @@ def cmd_selberg(cfg: RunConfig) -> int:
     if cfg.out_format == "csv":
         text = CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in rows)
     else:
-        text = "".join(
-            json.dumps(
-                {
-                    "N": r.N,
-                    "H": r.H,
-                    "J": r.J,
-                    "J_tilde": r.J_tilde,
-                    "ratio_J": r.ratio_J,
-                    "ratio_J_tilde": r.ratio_J_tilde,
-                    "lower_ratio": r.lower_ratio,
-                    "method": r.method,
-                    "mean_mode": r.mean_mode,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for r in rows
-        )
+        text = "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in rows)
     _emit(cfg, text)
     return 0
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._util import MAX_H_EXPONENT, at_most_power, compensated_sum, next_pow2
 from .arith_core import BalancedSequence
-from .selberg import IntegralReport, modified_selberg_integral, selberg_integral
+# selberg_integral is unused here; the benchmark's tracer test reads this binding
+from .selberg import IntegralReport, selberg_integral  # noqa: F401
 
 WEIGHTS = ("box2", "fejer2")
 KERNEL_SAMPLES = (1 << 16) + 1  # fixed kernel grid of the three-range majorization check
@@ -47,9 +48,6 @@ class CorrelationTable:
         if abs(h) > self.hmax:
             raise ValueError(f"shift {h} outside [-{self.hmax}, {self.hmax}]")
         return self.values[h + self.hmax]
-
-    def shifts(self) -> np.ndarray:
-        return np.arange(-self.hmax, self.hmax + 1)
 
     def window(self, hmax: int) -> np.ndarray:
         """The values for shifts in [-hmax, hmax], a view of the table."""
@@ -142,17 +140,6 @@ def correlation(
     return CorrelationTable(hmax=hmax, values=vals, method=method, base_lo=lo, base_hi=hi)
 
 
-def full_correlation(f: np.ndarray) -> np.ndarray:
-    """All nonnegative lags 0..M-1 of the autocorrelation, via FFT."""
-    f = np.asarray(f)
-    M = len(f)
-    L = next_pow2(2 * M)
-    if np.isrealobj(f):
-        return np.fft.irfft(np.abs(np.fft.rfft(f, L)) ** 2, L)[:M]
-    F = np.fft.fft(f, L)
-    return np.fft.ifft(F * np.conj(F))[:M]
-
-
 def box_autocorrelation(H: int) -> CorrelationTable:
     """Correlation of the indicator of [1, H]; equals max(H-|h|, 0)."""
     if H < 1:
@@ -210,30 +197,25 @@ def _pair(kernel: np.ndarray, coeffs: np.ndarray) -> float:
     return compensated_sum(np.concatenate(([kernel[0] * coeffs[0]], 2.0 * kernel[1:] * coeffs[1:])))
 
 
-def band_energy(f: np.ndarray, c: float, ac: np.ndarray | None = None) -> float:
+def _band(ac: np.ndarray, c: float) -> float:
+    """int_{-c}^{c} |f^|^2 from ac, the real autocorrelation of f at every lag d >= 0."""
+    return _pair(_interval_kernel([(0.0, c)], len(ac)), ac)
+
+
+def band_energy(f: np.ndarray, c: float) -> float:
     """int_{-c}^{c} |f^(alpha)|^2 d(alpha), exactly, from the correlation table.
 
     The one-interval case of _interval_kernel: kernel(0) = 2c and
-    kernel(d) = sin(2*pi*c*d) / (pi*d), paired with the full correlation
-    in O(range) time. A caller that already holds the full correlation,
-    np.real(full_correlation(f)), passes it as ac.
+    kernel(d) = sin(2*pi*c*d) / (pi*d), paired with the correlation at
+    every lag in O(range) time.
     """
     if not 0.0 <= c <= 0.5:
         raise ValueError("band half-width c must lie in [0, 1/2]")
     f = np.asarray(f)
     if c == 0.0:
         return 0.0
-    ac = _full_real_correlation(f, ac)
-    return _pair(_interval_kernel([(0.0, c)], len(f)), ac)
-
-
-def _full_real_correlation(f: np.ndarray, ac: np.ndarray | None) -> np.ndarray:
-    """ac if given (it must cover every lag of f), else np.real(full_correlation(f))."""
-    if ac is None:
-        return np.real(full_correlation(f))
-    if len(ac) != len(f):
-        raise ValueError(f"correlation has {len(ac)} lags, sequence has length {len(f)}")
-    return ac
+    table = correlation(f, len(f) - 1)
+    return _band(np.real(table.values[table.hmax :]), c)
 
 
 def _bisect(pred, inside: np.ndarray, outside: np.ndarray):
@@ -321,13 +303,20 @@ def _require_modest_h(N: int, H: int, label: str) -> None:
         raise ValueError(f"{label}: H={H} exceeds N^0.49 at N={N}")
 
 
-def _require_direct(f: BalancedSequence, N: int, H: int, direct: IntegralReport | None, label: str):
+def _require_direct(f: BalancedSequence, N: int, H: int, direct: IntegralReport, label: str):
     if f.N != N:
         raise ValueError("sequence metadata does not match N")
-    if direct is not None and (direct.N, direct.H) != (N, H):
+    if (direct.N, direct.H) != (N, H):
         raise ValueError(
             f"{label}: direct integrals are for (N, H) = ({direct.N}, {direct.H}), not ({N}, {H})"
         )
+
+
+def _full_lags(ac: CorrelationTable, N: int, label: str) -> np.ndarray:
+    """Lags 0..N-1 of ac, which must be correlation(f.truncated(), N - 1)."""
+    if ac.hmax != N - 1 or ac.base_lo is not None:
+        raise ValueError(f"{label}: ac is not the autocorrelation of f on ]N, 2N] at every lag")
+    return ac.values[ac.hmax :]
 
 
 def route_correlation(f: BalancedSequence, N: int, hmax: int) -> CorrelationTable:
@@ -348,30 +337,23 @@ def correlation_route_check(
     f: BalancedSequence,
     N: int,
     H: int,
-    direct: IntegralReport | None = None,
-    cf: CorrelationTable | None = None,
+    direct: IntegralReport,
+    cf: CorrelationTable,
 ) -> CorrelationRouteReport:
     """Both integrals, both routes; discrepancies are reported per H^3.
 
-    The correlation C_f has its outer index restricted to ]N, 2N] and the
-    inner one clipped to the available window, so the two routes differ by
-    range-edge products; that discrepancy is the H^3-order boundary term
-    being tracked. A caller that shares them across checks passes the
-    direct route as direct, integral_pair(f, N, H) without a polynomial,
-    and cf, route_correlation(f, N, hmax) for some hmax >= 2H - 2 (its
-    values do not depend on hmax).
+    direct is the direct route, integral_pair(f, N, H) without a
+    polynomial; cf is route_correlation(f, N, hmax) for some hmax >= 2H - 2
+    (its values do not depend on hmax). The correlation C_f has its outer
+    index restricted to ]N, 2N] and the inner one clipped to the available
+    window, so the two routes differ by range-edge products; that
+    discrepancy is the H^3-order boundary term being tracked.
     """
     _require_direct(f, N, H, direct, "correlation_route_check")
     _require_modest_h(N, H, "correlation_route_check")
-    if cf is None:
-        cf = route_correlation(f, N, 2 * H - 2)
-    elif (cf.base_lo, cf.base_hi) != _base_range(f, N):
+    if (cf.base_lo, cf.base_hi) != _base_range(f, N):
         raise ValueError("correlation_route_check: cf is not based on ]N, 2N]")
-    if direct is None:
-        j_direct = selberg_integral(f, N, H).J
-        jt_direct = modified_selberg_integral(f, N, H).J_tilde
-    else:
-        j_direct, jt_direct = direct.J, direct.J_tilde
+    j_direct, jt_direct = direct.J, direct.J_tilde
     cu = box_autocorrelation(H)
     j_corr = compensated_sum(np.real(cu.values * cf.window(cu.hmax)))
     cw = triangle_autocorrelation(H)
@@ -408,21 +390,20 @@ def gallagher_check(
     f: BalancedSequence,
     N: int,
     h: int,
-    direct: IntegralReport | None = None,
-    ac: np.ndarray | None = None,
+    direct: IntegralReport,
+    ac: CorrelationTable,
 ) -> GallagherReport:
     """Compare h^2 * int_{|a|<=1/(2h)} |f^|^2 with J~(N,h) + h^3.
 
-    A caller that shares them across checks passes J~ as direct,
-    integral_pair(f, N, h) without a polynomial, and the correlation as
-    ac, np.real(full_correlation(f.truncated())).
+    J~ comes from direct, integral_pair(f, N, h) without a polynomial, and
+    the band energy from ac, correlation(f.truncated(), N - 1).
     """
     _require_direct(f, N, h, direct, "gallagher_check")
     if h < 10:
         raise ValueError("h must be >= 10 (large-h regime)")
     _require_modest_h(N, h, "gallagher_check")
-    band = band_energy(f.truncated(), 1.0 / (2.0 * h), ac)
-    jt = modified_selberg_integral(f, N, h).J_tilde if direct is None else direct.J_tilde
+    band = _band(_full_lags(ac, N, "gallagher_check"), 1.0 / (2.0 * h))
+    jt = direct.J_tilde
     lhs = h * h * band
     rhs = jt + float(h) ** 3
     return GallagherReport(
@@ -455,8 +436,8 @@ def three_range_split(
     H: int,
     eps: float,
     E: float,
-    direct: IntegralReport | None = None,
-    ac: np.ndarray | None = None,
+    direct: IntegralReport,
+    ac: CorrelationTable,
 ) -> ThreeRangeReport:
     """Split int |f^|^2 |u^|^2 by kernel size and majorize each range.
 
@@ -467,10 +448,9 @@ def three_range_split(
     kernel_intervals, so each piece pairs the full correlation of f with
     interval kernels, exactly: T1 and T2 by Parseval minus interval
     energies, T3 through the kernel convolved with the coefficients of
-    |u^|^4 (the box autocorrelation convolved with itself). A caller that
-    shares them across checks passes J as direct, integral_pair(f, N, H)
-    without a polynomial, and the correlation as ac,
-    np.real(full_correlation(f.truncated())).
+    |u^|^4 (the box autocorrelation convolved with itself). J comes from
+    direct, integral_pair(f, N, H) without a polynomial, and ac is
+    correlation(f.truncated(), N - 1).
     """
     _require_direct(f, N, H, direct, "three_range_split")
     if not 0.0 < eps < E <= 1.0:
@@ -480,7 +460,7 @@ def three_range_split(
         raise ValueError("[eps*H] must be >= 1")
     EH = E * H
     iv2, iv3 = kernel_intervals(H, m), kernel_intervals(H, EH)
-    ac = _full_real_correlation(f.truncated(), ac)
+    ac = _full_lags(ac, N, "three_range_split")
     L, q = len(ac), 2 * H - 2
     k2, k3 = _interval_kernel(iv2, L), _interval_kernel(iv3, L + q)
     box = box_autocorrelation(H).values
@@ -503,7 +483,7 @@ def three_range_split(
         + np.count_nonzero(u2 * u2 > EH * EH)
         + np.count_nonzero(u3 * EH > u3 * u3)
     )
-    j_direct = selberg_integral(f, N, H).J if direct is None else direct.J
+    j_direct = direct.J
     h3 = float(H) ** 3
     majorant = t1 + t2 + t3 + h3
     slack = majorant / j_direct if j_direct > 0 else math.inf

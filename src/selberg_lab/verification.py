@@ -271,11 +271,11 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
 
     # shared by the checks below, each computed once: the direct J and J~
     # of every H (no polynomial, as the correlations see f), one based
-    # correlation covering every H's triangle weight, and the full
-    # autocorrelation of f on ]N, 2N]
+    # correlation covering every H's triangle weight, and the
+    # autocorrelation of f on ]N, 2N] at every lag
     direct = {H: integral_pair(f, cfg.N, H) for H in cfg.h_list}
     cf = spectral.route_correlation(f, cfg.N, 2 * margin - 2)
-    ac = np.real(spectral.full_correlation(f.truncated()))
+    ac = spectral.correlation(f.truncated(), cfg.N - 1)
 
     for H in cfg.h_list:
         r = spectral.correlation_route_check(f, cfg.N, H, direct[H], cf)
@@ -305,8 +305,9 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
                 )
             )
     H = min(cfg.h_list)
-    if math.floor(asymptotics.optimal_eps_E(0, H).eps * H) >= 1:
-        p = asymptotics.optimal_eps_E(0, H)
+    # the balancing cutoffs exist from H = 2; the split needs [eps*H] >= 1
+    p = asymptotics.optimal_eps_E(0, H) if H >= 2 else None
+    if p is not None and math.floor(p.eps * H) >= 1:
         t = spectral.three_range_split(f, cfg.N, H, p.eps, p.E, direct[H], ac)
         records.append(
             VerificationRecord(

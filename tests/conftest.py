@@ -8,6 +8,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import selberg_lab
 from selberg_lab import balanced_window
+from selberg_lab.selberg import integral_pair
+from selberg_lab.spectral import (
+    correlation,
+    correlation_route_check,
+    gallagher_check,
+    route_correlation,
+    three_range_split,
+)
 
 # Directory holding the selberg_lab package this session imported. It is
 # absolute, so a child started in any working directory finds the same copy.
@@ -30,6 +38,26 @@ def cli_env(**overrides):
     )
     env.update(overrides)
     return env
+
+
+# The spectral checks take their integrals and correlations from the caller.
+# These build them for the one call, as a caller without shared values would.
+
+
+def route_check(f, N, H):
+    return correlation_route_check(
+        f, N, H, integral_pair(f, N, H), route_correlation(f, N, 2 * H - 2)
+    )
+
+
+def gallagher(f, N, h):
+    return gallagher_check(f, N, h, integral_pair(f, N, h), correlation(f.truncated(), N - 1))
+
+
+def three_range(f, N, H, eps, E):
+    return three_range_split(
+        f, N, H, eps, E, integral_pair(f, N, H), correlation(f.truncated(), N - 1)
+    )
 
 
 @pytest.fixture(scope="session")

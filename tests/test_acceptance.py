@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cli_env
+from conftest import cli_env, gallagher, route_check, three_range
 from selberg_lab.arith_core import (
     BalancedSequence,
     balanced_window,
@@ -39,14 +39,7 @@ from selberg_lab.asymptotics import (
     optimal_eps_E,
 )
 from selberg_lab.selberg import integral_pair, modified_selberg_integral, selberg_integral
-from selberg_lab.spectral import (
-    correlation,
-    correlation_route_check,
-    gallagher_check,
-    kernel_localization_check,
-    spectral_energy,
-    three_range_split,
-)
+from selberg_lab.spectral import correlation, kernel_localization_check, spectral_energy
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -152,11 +145,11 @@ def test_criterion_05_correlation_route_discrepancy(balanced_1e5):
     diffs = []
     ceiling_ok = True
     for H in hs:
-        r = correlation_route_check(g, N, H)
+        r = route_check(g, N, H)
         diffs.append(max(r.diff_j, 1e-300))
         ceiling_ok = ceiling_ok and r.norm_diff_j <= 50.0
     slope = float(np.polyfit(np.log(hs), np.log(diffs), 1)[0])
-    d3_norms = [correlation_route_check(balanced_1e5, N, H).norm_diff_j for H in hs]
+    d3_norms = [route_check(balanced_1e5, N, H).norm_diff_j for H in hs]
     print(
         "[criterion 05] reported: balanced d3 |J_direct - sum C_u C_f|/H^3 = "
         + ", ".join(f"{v:.1f}" for v in d3_norms)
@@ -185,7 +178,7 @@ def test_criterion_07_gallagher_grid():
     for N in ns:
         f = balanced_window(N, max(hs))
         for h in hs:
-            ratios[(N, h)] = gallagher_check(f, N, h).ratio
+            ratios[(N, h)] = gallagher(f, N, h).ratio
     bound_ok = all(r <= 100.0 for r in ratios.values())
     growth_ok = True
     for h in hs:
@@ -229,8 +222,8 @@ def test_criterion_09_three_range_majorization(balanced_1e4):
     g = BalancedSequence(
         lo=N - H + 1, values=rng.standard_normal(N + 2 * H), N=N, H=H
     )
-    r = three_range_split(g, N, H, p.eps, p.E)
-    d3 = three_range_split(balanced_window(N, H), N, H, p.eps, p.E)
+    r = three_range(g, N, H, p.eps, p.E)
+    d3 = three_range(balanced_window(N, H), N, H, p.eps, p.E)
     print(
         f"[criterion 09] reported: balanced d3 slack = {d3.slack:.2f} "
         "(stated range [0.999, 4]; see ledger)"

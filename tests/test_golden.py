@@ -1,10 +1,13 @@
-"""Pinned CLI outputs in tests/golden/, written before the brute oracle was
-vectorised and before verify shared its integrals and correlations.
+"""Pinned CLI outputs in tests/golden/. The CSV grids and verify were written
+before the brute oracle was vectorised and before verify shared its
+integrals and correlations; the selberg JSON and fit outputs before the
+JSON rows were built from the report dataclass.
 
-verify and the sliding selberg grid must stay byte-identical. The brute
-grid keeps J and every text field byte-identical; its J~ rows come from
-a matrix-vector product whose rounding differs from one dot product per
-row, so J~ and its ratio are held to a relative 1e-13.
+verify, fit and the sliding selberg grid (CSV and JSON) must stay
+byte-identical. The brute grid keeps J and every text field
+byte-identical; its J~ rows come from a matrix-vector product whose
+rounding differs from one dot product per row, so J~ and its ratio are
+held to a relative 1e-13.
 """
 
 import csv
@@ -35,6 +38,18 @@ def test_selberg_sliding_golden(mean_mode):
     res = run_cli(*GRID, "--mean", mean_mode)
     assert res.returncode == 0
     assert res.stdout == _golden(f"selberg_sliding_{mean_mode}.csv")
+
+
+def test_selberg_json_golden():
+    res = run_cli(*GRID, "--format", "json")
+    assert res.returncode == 0
+    assert res.stdout == _golden("selberg_sliding_residue.jsonl")
+
+
+def test_fit_golden():
+    res = run_cli("fit", "--n", "65536", "--h", "16", "--h", "32")
+    assert res.returncode == 0
+    assert res.stdout == _golden("fit_n65536.json")
 
 
 @pytest.mark.parametrize("mean_mode", MEAN_MODES)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import gallagher, route_check, three_range
 from selberg_lab.arith_core import BalancedSequence, balanced_window
 from selberg_lab.asymptotics import optimal_eps_E
 from selberg_lab.selberg import integral_pair
@@ -15,7 +16,6 @@ from selberg_lab.spectral import (
     correlation,
     correlation_route_check,
     dirichlet_kernel_abs,
-    full_correlation,
     gallagher_check,
     kernel_intervals,
     kernel_localization_check,
@@ -220,12 +220,16 @@ def test_band_energy_single_element():
     assert band_energy(np.array([3.0]), 0.1) == pytest.approx(1.8, rel=1e-12)
 
 
-def test_full_correlation_prefix():
+def test_correlation_fft_at_every_lag():
+    # the FFT pads to twice the length, so even lag M - 1 takes no wraparound
     rng = np.random.default_rng(9)
-    f = rng.standard_normal(50)
-    ac = full_correlation(f)
-    t = correlation(f, 49, method="direct")
-    assert np.allclose(ac, t.values[49:], rtol=1e-12, atol=1e-12)
+    M = 50
+    real = rng.standard_normal(M)
+    for f in (real, real + 1j * rng.standard_normal(M)):
+        a = correlation(f, M - 1)
+        b = correlation(f, M - 1, method="direct")
+        assert a.values.dtype == b.values.dtype
+        assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
 
 
 def test_box_energy_equals_clipped_window_sum():
@@ -247,20 +251,20 @@ def test_box_energy_equals_clipped_window_sum():
 
 
 def test_correlation_route_zero_sequence():
-    r = correlation_route_check(_zero_balanced(400, 12), 400, 12)
+    r = route_check(_zero_balanced(400, 12), 400, 12)
     assert (r.j_direct, r.j_corr, r.jt_direct, r.jt_corr) == (0, 0, 0, 0)
 
 
 def test_correlation_route_single_point():
     N, H = 400, 12
-    r = correlation_route_check(_indicator(N, H, N + 3 * H), N, H)
+    r = route_check(_indicator(N, H, N + 3 * H), N, H)
     assert r.j_direct == H
     assert r.j_corr == pytest.approx(H, rel=1e-12)
     assert r.diff_j <= H * H
 
 
 def test_correlation_route_balanced_reported(balanced_1e4):
-    r = correlation_route_check(balanced_1e4, 10**4, 20)
+    r = route_check(balanced_1e4, 10**4, 20)
     assert math.isfinite(r.norm_diff_j) and math.isfinite(r.norm_diff_jt)
     assert r.j_direct > 0 and r.j_corr > 0
 
@@ -268,21 +272,21 @@ def test_correlation_route_balanced_reported(balanced_1e4):
 def test_correlation_route_guard():
     f = _zero_balanced(100, 25)
     with pytest.raises(ValueError):
-        correlation_route_check(f, 100, 25)  # 25 > 100^0.49
+        route_check(f, 100, 25)  # 25 > 100^0.49
 
 
 # ------------------------------------------------------------- gallagher
 
 
 def test_gallagher_zero_sequence():
-    r = gallagher_check(_zero_balanced(2000, 20), 2000, 20)
+    r = gallagher(_zero_balanced(2000, 20), 2000, 20)
     assert r.lhs == 0.0
     assert r.rhs == 20.0**3
     assert r.ratio == 0.0
 
 
 def test_gallagher_balanced(balanced_1e4):
-    r = gallagher_check(balanced_1e4, 10**4, 20)
+    r = gallagher(balanced_1e4, 10**4, 20)
     assert 0 < r.ratio < 100
     assert r.rhs == r.j_tilde + 20.0**3
 
@@ -290,9 +294,9 @@ def test_gallagher_balanced(balanced_1e4):
 def test_gallagher_guards():
     f = _zero_balanced(2000, 20)
     with pytest.raises(ValueError):
-        gallagher_check(f, 2000, 5)  # below the large-h regime
+        gallagher(f, 2000, 5)  # below the large-h regime
     with pytest.raises(ValueError):
-        gallagher_check(_zero_balanced(100, 25), 100, 25)
+        gallagher(_zero_balanced(100, 25), 100, 25)
 
 
 # ------------------------------------------------------ three-range split
@@ -300,7 +304,7 @@ def test_gallagher_guards():
 
 def test_three_range_zero_sequence():
     f = _zero_balanced(512, 16)
-    r = three_range_split(f, 512, 16, 0.25, 0.5)
+    r = three_range(f, 512, 16, 0.25, 0.5)
     assert (r.t1, r.t2, r.t3) == (0.0, 0.0, 0.0)
     assert math.isinf(r.slack)
 
@@ -308,25 +312,26 @@ def test_three_range_zero_sequence():
 def test_three_range_rejects_bad_cutoffs():
     f = _zero_balanced(512, 16)
     with pytest.raises(ValueError):
-        three_range_split(f, 512, 16, 0.5, 0.5)
+        three_range(f, 512, 16, 0.5, 0.5)
     with pytest.raises(ValueError):
-        three_range_split(f, 512, 16, 0.5, 0.25)
+        three_range(f, 512, 16, 0.5, 0.25)
 
 
 def test_three_range_signature_rejects_bad_eps_E():
     f = _zero_balanced(512, 16)
     for eps, E in ((0.0, 0.5), (-0.1, 0.5), (0.25, 1.5), (0.05, 0.5)):  # last: [eps*H] = 0
         with pytest.raises(ValueError):
-            three_range_split(f, 512, 16, eps, E)
+            three_range(f, 512, 16, eps, E)
+    direct, ac = integral_pair(f, 512, 16), correlation(f.truncated(), 511)
     with pytest.raises(TypeError):  # the quadrature grid is gone
-        three_range_split(f, 512, 16, 0.25, 0.5, grid_m=1 << 16)
+        three_range_split(f, 512, 16, 0.25, 0.5, direct, ac, grid_m=1 << 16)
 
 
 def test_three_range_majorization_and_partition():
     N, H = 1024, 16
     f = balanced_window(N, H)
     p = optimal_eps_E(0, H)
-    r = three_range_split(f, N, H, p.eps, p.E)
+    r = three_range(f, N, H, p.eps, p.E)
     assert r.majorization_violations == 0
     # the three majorants dominate the classified energy pointwise, so on
     # any grid the oracle's pieces dominate the Riemann sum of the energy
@@ -352,7 +357,7 @@ def test_three_range_agrees_with_grid_oracle(cutoffs, slack_rel):
     f = balanced_window(N, H)
     p = optimal_eps_E(0, H)
     eps, E = cutoffs or (p.eps, p.E)
-    r = three_range_split(f, N, H, eps, E)
+    r = three_range(f, N, H, eps, E)
     assert r.majorization_violations == 0
     grid = oracles.three_range_grid(f, N, H, eps, E, 1 << 22)
     for exact, quad in zip((r.t1, r.t2, r.t3), grid):
@@ -390,19 +395,25 @@ def test_kernel_intervals_edges():
 
 def test_shared_values_are_checked(balanced_1e4):
     f, N = balanced_1e4, 10**4
-    other = integral_pair(f, N, 21)
+    direct, other = integral_pair(f, N, 20), integral_pair(f, N, 21)
+    cf, ac = route_correlation(f, N, 38), correlation(f.truncated(), N - 1)
     with pytest.raises(ValueError):
-        correlation_route_check(f, N, 20, other)
+        correlation_route_check(f, N, 20, other, cf)
     with pytest.raises(ValueError):
-        gallagher_check(f, N, 20, other)
+        gallagher_check(f, N, 20, other, ac)
     with pytest.raises(ValueError):
-        three_range_split(f, N, 20, 0.25, 0.5, other)
+        three_range_split(f, N, 20, 0.25, 0.5, other, ac)
     with pytest.raises(ValueError):  # not based on ]N, 2N]
-        correlation_route_check(f, N, 20, cf=correlation(f.values, 38))
+        correlation_route_check(f, N, 20, direct, correlation(f.values, 38))
     with pytest.raises(ValueError):  # too few shifts for H = 20's triangle weight
-        correlation_route_check(f, N, 20, cf=route_correlation(f, N, 37))
-    with pytest.raises(ValueError):  # not the correlation of this sequence
-        band_energy(f.truncated(), 0.01, np.ones(10))
+        correlation_route_check(f, N, 20, direct, route_correlation(f, N, 37))
+    short = correlation(f.truncated(), N - 2)  # misses the last lag
+    based = route_correlation(f, N, N - 1)  # every lag, but its inner index leaves ]N, 2N]
+    for bad in (short, based):
+        with pytest.raises(ValueError):
+            gallagher_check(f, N, 20, direct, bad)
+        with pytest.raises(ValueError):
+            three_range_split(f, N, 20, 0.25, 0.5, direct, bad)
 
 
 def test_route_correlation_slices_are_per_h_tables(balanced_1e4):
@@ -412,4 +423,5 @@ def test_route_correlation_slices_are_per_h_tables(balanced_1e4):
     for h in (0, 9, 18, 38):
         assert np.array_equal(big.window(h), route_correlation(f, N, h).values)
     for H in (10, 20):
-        assert correlation_route_check(f, N, H, cf=big) == correlation_route_check(f, N, H)
+        direct = integral_pair(f, N, H)
+        assert correlation_route_check(f, N, H, direct, big) == route_check(f, N, H)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import gallagher, route_check, three_range
 from selberg_lab import balanced_window, cli, residue_polynomial, spectral
 from selberg_lab.asymptotics import optimal_eps_E
 from selberg_lab.selberg import integral_pair
@@ -57,7 +58,8 @@ def test_divisor_order_two_pipeline():
 
 def test_shared_values_match_each_check_alone():
     # verify takes each integral and correlation once and hands it to every
-    # check; the records must carry the floats each check computes on its own
+    # check, slicing one route correlation per H; the records must carry the
+    # floats each check gives with inputs built for it alone
     N, hs = 2000, (10, 20)
     records, _ = run_verification(VerifyConfig(N=N, h_list=hs))
     f = balanced_window(N, max(hs))
@@ -65,14 +67,22 @@ def test_shared_values_match_each_check_alone():
     gall = {r.params["h"]: r for r in records if r.check == "gallagher"}
     (three,) = [r for r in records if r.check == "three_range_split"]
     for H in hs:
-        r = spectral.correlation_route_check(f, N, H)
+        r = route_check(f, N, H)
         assert (route[H].lhs, route[H].rhs, route[H].ratio, route[H].slack) == (
             r.j_direct, r.j_corr, r.norm_diff_j, r.norm_diff_jt)
-        g = spectral.gallagher_check(f, N, H)
+        g = gallagher(f, N, H)
         assert (gall[H].lhs, gall[H].rhs, gall[H].ratio) == (g.lhs, g.rhs, g.ratio)
     p = optimal_eps_E(0, min(hs))
-    t = spectral.three_range_split(f, N, min(hs), p.eps, p.E)
+    t = three_range(f, N, min(hs), p.eps, p.E)
     assert (three.lhs, three.rhs, three.slack) == (t.j_direct, t.majorant, t.slack)
+
+
+def test_h_one_skips_the_three_range_split():
+    # the balancing cutoffs need H >= 2; one small H must not abort the matrix
+    records, failures = run_verification(VerifyConfig(N=2000, h_list=(1,)))
+    assert failures == 0
+    assert "three_range_split" not in [r.check for r in records]
+    assert [r.params["H"] for r in records if r.check == "correlation_route"] == [1]
 
 
 def test_correlation_route_record_layout():
