@@ -10,6 +10,7 @@ and the balanced values f(n) = d_3(n) - p_2(log n) on the window
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from decimal import Decimal
@@ -310,13 +311,15 @@ def save_table(table: DivisorTable, path) -> None:
 
 
 def load_table(path) -> DivisorTable:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated table file")
-    magic, lo, length, k = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not a divisor table file")
-    if len(raw) != _HEADER.size + 8 * length:
-        raise ValueError(f"{path}: length field does not match file size")
-    values = np.frombuffer(raw, dtype="<i8", offset=_HEADER.size).astype(np.int64)
+    """Read a save_table file: the header, then the payload in one int64 read."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated table file")
+        magic, lo, length, k = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not a divisor table file")
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * length:
+            raise ValueError(f"{path}: length field does not match file size")
+        values = np.fromfile(fh, dtype="<i8").astype(np.int64, copy=False)
     return DivisorTable(lo=lo, values=values, k=k)

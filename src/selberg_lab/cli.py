@@ -16,14 +16,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import arith_core, asymptotics
 from ._util import MAX_H_EXPONENT, at_most_power, floor_power
 from .selberg import CSV_HEADER, MEAN_MODES, METHODS, integral_pair
-from .verification import VerifyConfig, run_verification
+from .verification import DEFAULT_H, DEFAULT_N, VerifyConfig, run_verification
 
 CACHE_ENV = "SELBERG_LAB_CACHE"
 DEFAULT_CACHE = ".selberg-cache"
@@ -46,7 +46,6 @@ class RunConfig:
     method: str
     hmax: int
     grid_m: int
-    threads: int
     out_format: str
     out_path: str | None
     cache_dir: Path
@@ -128,7 +127,6 @@ def _config_from_args(args) -> RunConfig:
         method=args.method,
         hmax=args.hmax,
         grid_m=args.grid,
-        threads=args.threads,
         out_format=args.format or default_fmt,
         out_path=args.out,
         cache_dir=Path(cache),
@@ -157,23 +155,20 @@ def _cache_path(cfg: RunConfig, N: int, H: int) -> Path:
     return cfg.cache_dir / f"d{cfg.k}_N{N}_H{H}.bin"
 
 
-def _table_matches(table, N: int, H: int, k: int) -> bool:
-    return table.lo == max(N - H + 1, 1) and table.hi == 2 * N + H and table.k == k
-
-
 def _load_or_sieve(cfg: RunConfig, N: int, H: int):
-    """The (N, H) table and its cache status: "cache hit", or sieved because
-    the file is missing ("written") or unreadable or of another window ("rewritten")."""
+    """The (N, H) table on ]N-H, 2N+H] and its cache status: "cache hit", or sieved
+    because the file is missing ("written") or unreadable or of another window ("rewritten")."""
     path = _cache_path(cfg, N, H)
+    lo, hi = max(N - H + 1, 1), 2 * N + H
     if path.is_file():
         try:
             table = arith_core.load_table(path)
-            if _table_matches(table, N, H, cfg.k):
+            if (table.lo, table.hi, table.k) == (lo, hi, cfg.k):
                 return table, "cache hit"
         except ValueError:  # truncated or not a table file
             pass
     status = "rewritten" if path.is_file() else "written"
-    return arith_core.sieve_dk(max(N - H + 1, 1), 2 * N + H, cfg.k), status
+    return arith_core.sieve_dk(lo, hi, cfg.k), status
 
 
 def _get_table(cfg: RunConfig, N: int, H: int):
@@ -189,24 +184,26 @@ def cmd_sieve(cfg: RunConfig) -> int:
         table, status = _load_or_sieve(cfg, N, H)
         if status != "cache hit":
             arith_core.save_table(table, path)
-        entries = 2 * N + H - max(N - H + 1, 1) + 1
         lines.append(
-            f"sieve k={cfg.k} N={N} H={H} entries={entries} path={path} [{status}]"
+            f"sieve k={cfg.k} N={N} H={H} entries={len(table.values)} path={path} [{status}]"
         )
     _emit(cfg, "".join(line + "\n" for line in lines))
     return 0
 
 
-def cmd_selberg(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg)
+def _integral_reports(cfg: RunConfig, cells):
+    """integral_pair of each (N, H) cell, on its table balanced by the residue polynomial."""
     poly = arith_core.residue_polynomial(cfg.k)
-    rows = []
     for N, H in cells:
         if H > N // 4:
             raise ConfigError(f"H={H} too large for N={N} (need H <= N/4)")
         table = _get_table(cfg, N, H)
         f = arith_core.balanced_sequence(table, poly, N, H)
-        rows.append(integral_pair(f, N, H, poly, cfg.method, cfg.mean_mode))
+        yield integral_pair(f, N, H, poly, cfg.method, cfg.mean_mode)
+
+
+def cmd_selberg(cfg: RunConfig) -> int:
+    rows = list(_integral_reports(cfg, _require_grid(cfg)))
     if cfg.out_format == "csv":
         text = CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in rows)
     else:
@@ -216,16 +213,12 @@ def cmd_selberg(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    vcfg = VerifyConfig(
-        N=cfg.n_list[0] if cfg.n_list else 10_000,
-        h_list=tuple(cfg.h_list) if cfg.h_list else (10, 20),
-        hmax=cfg.hmax,
-        grid_m=cfg.grid_m,
-        k=cfg.k,
-    )
+    """The matrix on the grid of --n (default DEFAULT_N) and --h or --theta
+    (default DEFAULT_H); it sieves its own windows and reads no cache."""
+    grid = replace(cfg, n_list=cfg.n_list or [DEFAULT_N], h_list=cfg.h_list or list(DEFAULT_H))
+    vcfg = VerifyConfig(cells=tuple(grid.cells()), hmax=cfg.hmax, grid_m=cfg.grid_m, k=cfg.k)
     records, failures = run_verification(vcfg)
-    text = "".join(json.dumps(r.to_record(), sort_keys=True) + "\n" for r in records)
-    _emit(cfg, text)
+    _emit(cfg, "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records))
     return 1 if failures else 0
 
 
@@ -238,13 +231,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             )
         samples = [(N, H, jt) for (N, H), jt in zip(cells, cfg.inject)]
     else:
-        poly = arith_core.residue_polynomial(cfg.k)
-        samples = []
-        for N, H in cells:
-            table = _get_table(cfg, N, H)
-            f = arith_core.balanced_sequence(table, poly, N, H)
-            rep = integral_pair(f, N, H, poly, cfg.method, cfg.mean_mode)
-            samples.append((N, H, rep.J_tilde))
+        samples = [(r.N, r.H, r.J_tilde) for r in _integral_reports(cfg, cells)]
     try:
         fit = asymptotics.fit_exponent(samples, delta=cfg.delta, eta=cfg.eta)
     except ValueError as e:

@@ -10,15 +10,13 @@ box convolved with a box) and an O(NH) brute evaluation kept as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import compensated_sum
 from .arith_core import LogPolynomial, Window
-
-CSV_HEADER = "N,H,J,J_tilde,ratio_J,ratio_J_tilde,lower_ratio,method,mean_mode"
 
 MEAN_MODES = ("residue", "window-poly")
 METHODS = ("sliding", "brute")
@@ -47,20 +45,10 @@ class IntegralReport:
                 return f"{v:.17g}"
             return str(v)
 
-        return ",".join(
-            fmt(v)
-            for v in (
-                self.N,
-                self.H,
-                self.J,
-                self.J_tilde,
-                self.ratio_J,
-                self.ratio_J_tilde,
-                self.lower_ratio,
-                self.method,
-                self.mean_mode,
-            )
-        )
+        return ",".join(fmt(v) for v in astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(IntegralReport))
 
 
 def _report(N, H, J, J_tilde, method, mean_mode) -> IntegralReport:
@@ -103,7 +91,14 @@ def mean_value(x: int, H: int, poly: LogPolynomial) -> float:
     return H * poly(math.log(x))
 
 
-def _check_args(f: Window, x_first: int, x_last: int, H: int, method: str, mean_mode: str):
+def _deviation_inputs(f: Window, x_first: int, x_last: int, H: int, poly, mean_mode: str,
+                      method: str, n_first: int):
+    """Check one deviation call, which reads f on [n_first, x_last + H].
+
+    Returns the summed values g and the subtracted mean at each x. In
+    "window-poly" mode g is f alone and the mean is 0; in "residue" mode g
+    is f + poly(log n) and the mean is H * poly(log x).
+    """
     if H < 1:
         raise ValueError("H must be >= 1")
     if x_last < x_first:
@@ -112,24 +107,23 @@ def _check_args(f: Window, x_first: int, x_last: int, H: int, method: str, mean_
         raise ValueError(f"method must be one of {METHODS}")
     if mean_mode not in MEAN_MODES:
         raise ValueError(f"mean_mode must be one of {MEAN_MODES}")
-
-
-def _combined(f: Window, poly: LogPolynomial | None) -> np.ndarray:
-    if poly is None or poly.is_zero():
-        return np.asarray(f.values, dtype=np.float64)
-    n = np.arange(f.lo, f.hi + 1, dtype=np.float64)
-    return np.asarray(f.values, dtype=np.float64) + poly(np.log(n))
-
-
-def _summand_and_mean(f: Window, xs: np.ndarray, H: int, poly, mean_mode: str):
-    """The summed values g and the subtracted mean at each x.
-
-    In "window-poly" mode g is f alone and the mean is 0; in "residue" mode g
-    is f + poly(log n) and the mean is H * poly(log x).
-    """
+    if not f.covers(n_first, x_last + H):
+        raise ValueError(f"window [{f.lo}, {f.hi}] does not cover [{n_first}, {x_last + H}]")
+    g = np.asarray(f.values, dtype=np.float64)
     if mean_mode == "window-poly" or poly is None or poly.is_zero():
-        return np.asarray(f.values, dtype=np.float64), 0.0
-    return _combined(f, poly), H * poly(np.log(xs.astype(np.float64)))
+        return g, 0.0
+    n = np.arange(f.lo, f.hi + 1, dtype=np.float64)
+    xs = np.arange(x_first, x_last + 1, dtype=np.float64)
+    return g + poly(np.log(n)), H * poly(np.log(xs))
+
+
+def _box_sums(g: np.ndarray, i0: int, count: int, H: int) -> np.ndarray:
+    """The sums of g over the index windows [i, i+H) for i = i0 .. i0+count-1.
+
+    The prefix sum always starts at g[0], so no window's rounding depends on i0.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(g)))
+    return prefix[i0 + H : i0 + H + count] - prefix[i0 : i0 + count]
 
 
 def box_deviations(
@@ -147,20 +141,14 @@ def box_deviations(
     subtracted mean is the windowed polynomial sum itself, so D reduces to
     the sharp short sum of f alone.
     """
-    _check_args(f, x_first, x_last, H, method, mean_mode)
-    if not f.covers(x_first + 1, x_last + H):
-        raise ValueError("window does not cover the x range plus H")
-    xs = np.arange(x_first, x_last + 1, dtype=np.int64)
-    g, mean = _summand_and_mean(f, xs, H, poly, mean_mode)
+    g, mean = _deviation_inputs(f, x_first, x_last, H, poly, mean_mode, method, x_first + 1)
+    count, i0 = x_last - x_first + 1, x_first + 1 - f.lo
     if method == "sliding":
-        prefix = np.concatenate(([0.0], np.cumsum(g)))
-        i = xs - f.lo + 1
-        sums = prefix[i + H] - prefix[i]
+        sums = _box_sums(g, i0, count, H)
     else:
         # row k of the view is the window ]x, x+H] of x = x_first + k; a basic
         # slice of it copies nothing
-        i0 = x_first + 1 - f.lo
-        sums = sliding_window_view(g, H)[i0 : i0 + len(xs)].sum(axis=1)
+        sums = sliding_window_view(g, H)[i0 : i0 + count].sum(axis=1)
     return sums - mean
 
 
@@ -178,31 +166,23 @@ def triangle_deviations(
     The sliding method stacks two running box sums: with S(y) the sharp sum
     over ]y, y+H], the triangle sum at x is (1/H) * sum_{b=1..H} S(x-b).
     """
-    _check_args(f, x_first, x_last, H, method, mean_mode)
-    if not f.covers(x_first - H, x_last + H):
-        raise ValueError("window does not cover the x range plus [-H, H]")
-    xs = np.arange(x_first, x_last + 1, dtype=np.int64)
-    g, mean = _summand_and_mean(f, xs, H, poly, mean_mode)
+    g, mean = _deviation_inputs(f, x_first, x_last, H, poly, mean_mode, method, x_first - H)
+    count = x_last - x_first + 1
     if method == "sliding":
-        prefix = np.concatenate(([0.0], np.cumsum(g)))
-        y0 = x_first - H  # earliest y with S(y) needed
-        ys = np.arange(y0, x_last)  # up to x_last - 1
-        i = ys - f.lo + 1
-        box = prefix[i + H] - prefix[i]
-        bprefix = np.concatenate(([0.0], np.cumsum(box)))
-        # sum of S(y) for y in [x-H, x-1]
-        j = xs - y0
-        sums = (bprefix[j] - bprefix[j - H]) / H
+        # S(y) for y in [x_first - H, x_last - 1], then the sum of S(y) for
+        # y in [x - H, x - 1]
+        box = _box_sums(g, x_first - H + 1 - f.lo, count + H - 1, H)
+        sums = _box_sums(box, 0, count, H) / H
     else:
         # row k of the view is the window [x-H, x+H] of x = x_first + k; the
         # product runs one chunk of rows at a time, so any copy numpy makes of
         # its operand stays O(chunk * H) elements
         w = 1.0 - np.abs(np.arange(-H, H + 1, dtype=np.float64)) / H
         i0 = x_first - H - f.lo
-        rows = sliding_window_view(g, 2 * H + 1)[i0 : i0 + len(xs)]
+        rows = sliding_window_view(g, 2 * H + 1)[i0 : i0 + count]
         step = max(1, BRUTE_CHUNK_ELEMENTS // (2 * H + 1))
-        sums = np.empty(len(xs))
-        for k in range(0, len(xs), step):
+        sums = np.empty(count)
+        for k in range(0, count, step):
             sums[k : k + step] = rows[k : k + step] @ w
     return sums - mean
 

@@ -466,7 +466,7 @@ def three_range_split(
     box = box_autocorrelation(H).values
     k3w = np.convolve(np.concatenate([k3[q:0:-1], k3]), np.convolve(box, box), "valid")
     e2, e3 = _pair(k2, ac), _pair(k3[:L], ac)
-    t1 = eps * eps * H * H * (ac[0] - e2)
+    t1 = eps * eps * H * H * (float(ac[0]) - e2)
     t2 = EH * EH * (e2 - e3)
     t3 = _pair(k3w, ac) / (EH * EH)
     # per-point majorization, in rounding-monotone form, on a fixed grid over

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +25,9 @@ _RNG_SEED = 20260811
 
 @dataclass
 class VerificationRecord:
+    """One check's outcome; every field is a plain Python value, so asdict of
+    a record is its JSON line."""
+
     check: str
     params: dict
     lhs: float | None = None
@@ -34,34 +39,16 @@ class VerificationRecord:
     ok: bool = True
     note: str = ""
 
-    def to_record(self) -> dict:
-        def plain(v):
-            if isinstance(v, np.bool_):
-                return bool(v)
-            if isinstance(v, np.integer):
-                return int(v)
-            if isinstance(v, np.floating):
-                return float(v)
-            return v
 
-        return {
-            "check": self.check,
-            "params": {k: plain(v) for k, v in self.params.items()},
-            "lhs": plain(self.lhs),
-            "rhs": plain(self.rhs),
-            "ratio": plain(self.ratio),
-            "violations": plain(self.violations),
-            "slack": plain(self.slack),
-            "hard": plain(self.hard),
-            "ok": plain(self.ok),
-            "note": self.note,
-        }
+DEFAULT_N = 10_000
+DEFAULT_H = (10, 20)
 
 
 @dataclass
 class VerifyConfig:
-    N: int = 10_000
-    h_list: tuple[int, ...] = (10, 20)
+    """The (N, H) cells in run order, and the knobs of the N-independent checks."""
+
+    cells: tuple[tuple[int, int], ...] = tuple((DEFAULT_N, H) for H in DEFAULT_H)
     hmax: int = 64
     grid_m: int = 1 << 16
     k: int = 3
@@ -119,7 +106,7 @@ def _check_triangle_correlation(cfg: VerifyConfig, out: list) -> None:
         VerificationRecord(
             check="triangle_correlation",
             params={"H": H},
-            lhs=table.value(0),
+            lhs=float(table.value(0)),
             rhs=peak,
             violations=bad,
             ok=(bad == 0),
@@ -141,8 +128,8 @@ def _check_dirichlet_kernel(cfg: VerifyConfig, out: list) -> None:
         VerificationRecord(
             check="dirichlet_kernel_closed_form",
             params={"H": H, "points": len(alphas)},
-            ratio=worst,
-            ok=(worst < 1e-9),
+            ratio=float(worst),
+            ok=bool(worst < 1e-9),
         )
     )
 
@@ -159,8 +146,8 @@ def _check_correlation_methods(cfg: VerifyConfig, out: list) -> None:
         VerificationRecord(
             check="correlation_fft_vs_direct",
             params={"length": 512, "hmax": cfg.hmax},
-            ratio=worst,
-            ok=(worst < 1e-9),
+            ratio=float(worst),
+            ok=bool(worst < 1e-9),
         )
     )
 
@@ -234,16 +221,15 @@ def _check_exponent_algebra(cfg: VerifyConfig, out: list) -> None:
     )
 
 
-def _check_integral_methods(cfg: VerifyConfig, out: list, f) -> None:
-    H = min(cfg.h_list)
+def _check_integral_methods(cfg: VerifyConfig, N: int, H: int, f, out: list) -> None:
     poly = arith_core.residue_polynomial(cfg.k)
-    a = integral_pair(f, cfg.N, H, poly, method="sliding")
-    b = integral_pair(f, cfg.N, H, poly, method="brute")
+    a = integral_pair(f, N, H, poly, method="sliding")
+    b = integral_pair(f, N, H, poly, method="brute")
     worst = max(_rel(a.J, b.J), _rel(a.J_tilde, b.J_tilde))
     out.append(
         VerificationRecord(
             check="integral_sliding_vs_brute",
-            params={"N": cfg.N, "H": H},
+            params={"N": N, "H": H},
             lhs=a.J,
             rhs=b.J,
             ratio=worst,
@@ -252,37 +238,26 @@ def _check_integral_methods(cfg: VerifyConfig, out: list, f) -> None:
     )
 
 
-def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[VerificationRecord], int]:
-    """Run the whole matrix; returns (records, number of hard failures)."""
-    cfg = cfg or VerifyConfig()
-    records: list[VerificationRecord] = []
-    _check_kernel_localization(cfg, records)
-    _check_box_correlation_formula(cfg, records)
-    _check_triangle_correlation(cfg, records)
-    _check_dirichlet_kernel(cfg, records)
-    _check_correlation_methods(cfg, records)
-    _check_parseval(cfg, records)
-    _check_energy_quadrature(cfg, records)
-    _check_exponent_algebra(cfg, records)
-
-    margin = max(cfg.h_list)
-    f = arith_core.balanced_window(cfg.N, margin, cfg.k)
-    _check_integral_methods(cfg, records, f)
+def _check_window(cfg: VerifyConfig, N: int, h_list: list[int], out: list) -> None:
+    """The N-dependent checks, on one window ]N - max H, 2N + max H]."""
+    margin = max(h_list)
+    f = arith_core.balanced_window(N, margin, cfg.k)
+    _check_integral_methods(cfg, N, min(h_list), f, out)
 
     # shared by the checks below, each computed once: the direct J and J~
     # of every H (no polynomial, as the correlations see f), one based
     # correlation covering every H's triangle weight, and the
     # autocorrelation of f on ]N, 2N] at every lag
-    direct = {H: integral_pair(f, cfg.N, H) for H in cfg.h_list}
-    cf = spectral.route_correlation(f, cfg.N, 2 * margin - 2)
-    ac = spectral.correlation(f.truncated(), cfg.N - 1)
+    direct = {H: integral_pair(f, N, H) for H in h_list}
+    cf = spectral.route_correlation(f, N, 2 * margin - 2)
+    ac = spectral.correlation(f.truncated(), N - 1)
 
-    for H in cfg.h_list:
-        r = spectral.correlation_route_check(f, cfg.N, H, direct[H], cf)
-        records.append(
+    for H in h_list:
+        r = spectral.correlation_route_check(f, N, H, direct[H], cf)
+        out.append(
             VerificationRecord(
                 check="correlation_route",
-                params={"N": cfg.N, "H": H},
+                params={"N": N, "H": H},
                 lhs=r.j_direct,
                 rhs=r.j_corr,
                 ratio=r.norm_diff_j,
@@ -291,28 +266,28 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
                 note="normalized discrepancies |J_direct - J_corr| / H^3",
             )
         )
-    for h in cfg.h_list:
+    for h in h_list:
         if h >= 10:
-            g = spectral.gallagher_check(f, cfg.N, h, direct[h], ac)
-            records.append(
+            g = spectral.gallagher_check(f, N, h, direct[h], ac)
+            out.append(
                 VerificationRecord(
                     check="gallagher",
-                    params={"N": cfg.N, "h": h},
+                    params={"N": N, "h": h},
                     lhs=g.lhs,
                     rhs=g.rhs,
                     ratio=g.ratio,
                     hard=False,
                 )
             )
-    H = min(cfg.h_list)
+    H = min(h_list)
     # the balancing cutoffs exist from H = 2; the split needs [eps*H] >= 1
     p = asymptotics.optimal_eps_E(0, H) if H >= 2 else None
     if p is not None and math.floor(p.eps * H) >= 1:
-        t = spectral.three_range_split(f, cfg.N, H, p.eps, p.E, direct[H], ac)
-        records.append(
+        t = spectral.three_range_split(f, N, H, p.eps, p.E, direct[H], ac)
+        out.append(
             VerificationRecord(
                 check="three_range_split",
-                params={"N": cfg.N, "H": H, "eps": p.eps, "E": p.E},
+                params={"N": N, "H": H, "eps": p.eps, "E": p.E},
                 lhs=t.j_direct,
                 rhs=t.majorant,
                 ratio=t.slack,
@@ -323,5 +298,25 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
                 note="hard part: zero pointwise majorization violations",
             )
         )
+
+
+def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[VerificationRecord], int]:
+    """Run the whole matrix; returns (records, number of hard failures).
+
+    The N-independent checks run once, then the N-dependent block once per
+    run of consecutive cells with the same N, for that run's H in order.
+    """
+    cfg = cfg or VerifyConfig()
+    records: list[VerificationRecord] = []
+    _check_kernel_localization(cfg, records)
+    _check_box_correlation_formula(cfg, records)
+    _check_triangle_correlation(cfg, records)
+    _check_dirichlet_kernel(cfg, records)
+    _check_correlation_methods(cfg, records)
+    _check_parseval(cfg, records)
+    _check_energy_quadrature(cfg, records)
+    _check_exponent_algebra(cfg, records)
+    for N, cells in groupby(cfg.cells, key=itemgetter(0)):
+        _check_window(cfg, N, [H for _, H in cells], records)
     failures = sum(1 for r in records if r.hard and not r.ok)
     return records, failures

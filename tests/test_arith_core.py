@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from selberg_lab import arith_core
@@ -71,6 +73,15 @@ def test_sieve_multiplicativity(table_1e6):
             continue
         assert table_1e6.value(m * n) == table_1e6.value(m) * table_1e6.value(n)
         done += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 10**4), n=st.integers(1, 10**4))
+def test_sieve_multiplicative_on_coprime_pairs(m, n):
+    # each value from its own one-entry window, so the segment offsets vary too
+    assume(math.gcd(m, n) == 1)
+    d3 = lambda x: int(sieve_dk(x, x, 3).values[0])
+    assert d3(m * n) == d3(m) * d3(n)
 
 
 def test_sieve_entries_at_least_one(table_1e6):
@@ -292,7 +303,11 @@ def test_table_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_table(bad)
-    short = tmp_path / "short.bin"
-    short.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_table(short)
+    # a short header, one value short, a value cut in half, one value more
+    blob = path.read_bytes()
+    for cut in (blob[:10], blob[:-8], blob[:-1], blob + bytes(8)):
+        short = tmp_path / "short.bin"
+        short.write_bytes(cut)
+        with pytest.raises(ValueError):
+            load_table(short)
+

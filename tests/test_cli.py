@@ -198,7 +198,7 @@ def test_verify_detects_tampered_kernel(monkeypatch):
     monkeypatch.setattr(spectral, "box_autocorrelation", tampered)
     from selberg_lab.verification import VerifyConfig, run_verification
 
-    records, failures = run_verification(VerifyConfig(N=2000, h_list=(10,)))
+    records, failures = run_verification(VerifyConfig(cells=((2000, 10),)))
     assert failures > 0
 
 

@@ -71,6 +71,25 @@ def test_correlation_complex_and_base():
             assert b.value(h) == pytest.approx(brute, rel=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), M=st.integers(1, 300), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_correlation_fft_matches_direct_on_random_inputs(data, M, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(M)
+    if is_complex:
+        f = f + 1j * rng.standard_normal(M)
+    hmax = data.draw(st.integers(0, M - 1), label="hmax")
+    base = None
+    if data.draw(st.booleans(), label="with base"):
+        b0 = data.draw(st.integers(0, M - 1), label="b0")
+        base = (b0, data.draw(st.integers(b0 + 1, M), label="b1"))
+    a = correlation(f, hmax, method="fft", base=base)
+    b = correlation(f, hmax, method="direct", base=base)
+    assert np.iscomplexobj(a.values) == is_complex == np.iscomplexobj(b.values)
+    # every |C(h)| is at most the energy of f
+    assert np.max(np.abs(a.values - b.values)) <= 1e-12 * float(np.sum(np.abs(f) ** 2))
+
+
 def test_correlation_symmetry_holds_for_full_base_only():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(100)
