@@ -112,8 +112,9 @@ class LogPolynomial:
 
     def __call__(self, L):
         acc = np.zeros_like(np.asarray(L, dtype=np.float64))
-        for c in reversed(self.coeffs):
-            acc = acc * L + c
+        for c in reversed(self.coeffs):  # Horner in place: no temporary per step
+            acc *= L
+            acc += c
         if np.ndim(L) == 0:
             return float(acc)
         return acc

@@ -53,8 +53,9 @@ class RunConfig:
     eta: float
     inject: list[float] | None
 
-    def cells(self) -> list[tuple[int, int]]:
-        """The (N, H) grid, in config order."""
+    def cells(self, integrals: bool = True) -> list[tuple[int, int]]:
+        """The (N, H) grid, in config order, checked whole before any cell is
+        computed. With `integrals` every H must also be <= N/4, as J and J~ need."""
         out = []
         for N in self.n_list:
             if N < 1:
@@ -66,6 +67,8 @@ class RunConfig:
             for H in hs:
                 if not (1 <= H and at_most_power(H, N, MAX_H_EXPONENT)):
                     raise ConfigError(f"H={H} outside [1, N^0.49] at N={N}")
+                if integrals and H > N // 4:
+                    raise ConfigError(f"H={H} too large for N={N} (need H <= N/4)")
                 out.append((N, H))
         return out
 
@@ -136,12 +139,12 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _require_grid(cfg: RunConfig) -> list[tuple[int, int]]:
+def _require_grid(cfg: RunConfig, integrals: bool = True) -> list[tuple[int, int]]:
     if not cfg.n_list:
         raise ConfigError("at least one --n is required")
     if cfg.theta is None and not cfg.h_list:
         raise ConfigError("provide --h or --theta")
-    return cfg.cells()
+    return cfg.cells(integrals)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -176,7 +179,7 @@ def _get_table(cfg: RunConfig, N: int, H: int):
 
 
 def cmd_sieve(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg)
+    cells = _require_grid(cfg, integrals=False)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
     lines = []
     for N, H in cells:
@@ -195,8 +198,6 @@ def _integral_reports(cfg: RunConfig, cells):
     """integral_pair of each (N, H) cell, on its table balanced by the residue polynomial."""
     poly = arith_core.residue_polynomial(cfg.k)
     for N, H in cells:
-        if H > N // 4:
-            raise ConfigError(f"H={H} too large for N={N} (need H <= N/4)")
         table = _get_table(cfg, N, H)
         f = arith_core.balanced_sequence(table, poly, N, H)
         yield integral_pair(f, N, H, poly, cfg.method, cfg.mean_mode)
@@ -223,7 +224,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg)
+    cells = _require_grid(cfg, integrals=cfg.inject is None)
     if cfg.inject is not None:
         if len(cfg.inject) != len(cells):
             raise ConfigError(

@@ -109,12 +109,18 @@ def _deviation_inputs(f: Window, x_first: int, x_last: int, H: int, poly, mean_m
         raise ValueError(f"mean_mode must be one of {MEAN_MODES}")
     if not f.covers(n_first, x_last + H):
         raise ValueError(f"window [{f.lo}, {f.hi}] does not cover [{n_first}, {x_last + H}]")
-    g = np.asarray(f.values, dtype=np.float64)
     if mean_mode == "window-poly" or poly is None or poly.is_zero():
-        return g, 0.0
-    n = np.arange(f.lo, f.hi + 1, dtype=np.float64)
-    xs = np.arange(x_first, x_last + 1, dtype=np.float64)
-    return g + poly(np.log(n)), H * poly(np.log(xs))
+        return np.asarray(f.values, dtype=np.float64), 0.0
+    # one log per n from min(x_first, f.lo) to f.hi serves both g and the mean
+    # (np.log is elementwise, so a slice has the bits of a separate call);
+    # x_first is f.lo - 1 when a box deviation starts at the window's edge
+    lo = min(x_first, f.lo)
+    logs = np.log(np.arange(lo, f.hi + 1, dtype=np.float64))
+    g = poly(logs[f.lo - lo :])
+    g += f.values
+    mean = poly(logs[x_first - lo : x_last + 1 - lo])
+    mean *= H
+    return g, mean
 
 
 def _box_sums(g: np.ndarray, i0: int, count: int, H: int) -> np.ndarray:
@@ -122,7 +128,9 @@ def _box_sums(g: np.ndarray, i0: int, count: int, H: int) -> np.ndarray:
 
     The prefix sum always starts at g[0], so no window's rounding depends on i0.
     """
-    prefix = np.concatenate(([0.0], np.cumsum(g)))
+    prefix = np.empty(len(g) + 1)
+    prefix[0] = 0.0
+    np.cumsum(g, out=prefix[1:])
     return prefix[i0 + H : i0 + H + count] - prefix[i0 : i0 + count]
 
 
@@ -149,7 +157,8 @@ def box_deviations(
         # row k of the view is the window ]x, x+H] of x = x_first + k; a basic
         # slice of it copies nothing
         sums = sliding_window_view(g, H)[i0 : i0 + count].sum(axis=1)
-    return sums - mean
+    sums -= mean
+    return sums
 
 
 def triangle_deviations(
@@ -172,7 +181,8 @@ def triangle_deviations(
         # S(y) for y in [x_first - H, x_last - 1], then the sum of S(y) for
         # y in [x - H, x - 1]
         box = _box_sums(g, x_first - H + 1 - f.lo, count + H - 1, H)
-        sums = _box_sums(box, 0, count, H) / H
+        sums = _box_sums(box, 0, count, H)
+        sums /= H
     else:
         # row k of the view is the window [x-H, x+H] of x = x_first + k; the
         # product runs one chunk of rows at a time, so any copy numpy makes of
@@ -184,7 +194,8 @@ def triangle_deviations(
         sums = np.empty(count)
         for k in range(0, count, step):
             sums[k : k + step] = rows[k : k + step] @ w
-    return sums - mean
+    sums -= mean
+    return sums
 
 
 def _guard_pair(f: Window, N: int, H: int):
@@ -207,7 +218,7 @@ def selberg_integral(
     """J(N,H): mean square of the sharp short-sum deviation over x in ]N, 2N]."""
     _guard_pair(f, N, H)
     dev = box_deviations(f, N + 1, 2 * N, H, poly, mean_mode, method)
-    J = compensated_sum(dev * dev)
+    J = compensated_sum(np.square(dev, out=dev))
     return _report(N, H, J, None, method, mean_mode)
 
 
@@ -222,7 +233,7 @@ def modified_selberg_integral(
     """J~(N,H): mean square of the Cesaro-weighted deviation over x in ]N, 2N]."""
     _guard_pair(f, N, H)
     dev = triangle_deviations(f, N + 1, 2 * N, H, poly, mean_mode, method)
-    Jt = compensated_sum(dev * dev)
+    Jt = compensated_sum(np.square(dev, out=dev))
     return _report(N, H, None, Jt, method, mean_mode)
 
 

@@ -207,6 +207,23 @@ def test_log_polynomial_eval():
     assert LogPolynomial.zero().is_zero()
 
 
+def test_log_polynomial_in_place_horner_keeps_the_bits():
+    q = residue_polynomial(3)
+
+    def expression(L):
+        acc = np.zeros_like(np.asarray(L, dtype=np.float64))
+        for c in reversed(q.coeffs):
+            acc = acc * L + c
+        return acc
+
+    for L in (np.log(np.arange(1, 30001, dtype=np.float64)), np.arange(-50, 50),
+              np.linspace(-3.0, 40.0, 999)[::2]):
+        assert np.array_equal(q(L), expression(L))
+    for x in (0.0, 1.0, math.log(10**6), -2.5):
+        assert type(q(x)) is float
+        assert q(x) == float(expression(x))
+
+
 # ----------------------------------------------------- balanced window
 
 

@@ -259,6 +259,32 @@ def test_config_errors_exit_two():
     assert run_cli("nonsense").returncode == 2  # argparse itself
 
 
+@pytest.mark.parametrize("command", ["selberg", "fit", "verify"])
+def test_late_cell_above_quarter_rejected_before_any_window(command, tmp_path, monkeypatch,
+                                                            capsys):
+    # H = 3 <= 11^0.49 passes the grid bound but not H <= N/4; the whole grid is
+    # checked before the N = 10^6 cell ahead of it is sieved or integrated
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a window was sieved before the grid was checked")
+
+    monkeypatch.setattr(arith_core, "sieve_dk", no_sieve)
+    argv = [command, "--n", "1000000", "--n", "11", "--h", "3", "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "H=3 too large for N=11" in err
+
+
+def test_sieve_and_injected_fit_skip_the_quarter_bound(tmp_path, capsys):
+    # neither computes an integral, so H <= N^0.49 is their only grid bound;
+    # the injected fit then stops at its own band check
+    assert cli.main(["sieve", "--n", "11", "--h", "3", "--cache-dir", str(tmp_path)]) == 0
+    assert cli.main(["fit", "--n", "11", "--n", "12", "--h", "3",
+                     "--inject", "1.0", "--inject", "2.0"]) == 2
+    err = capsys.readouterr().err
+    assert "outside the band" in err and "too large" not in err
+
+
 # ----------------------------------------------------------- determinism
 
 

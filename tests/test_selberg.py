@@ -307,3 +307,44 @@ def test_brute_triangle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ------------------------------------------------- the lean residue path
+
+
+def _first_deviations(f, x_first, x_last, H, poly, mean_mode, kind):
+    """The sliding deviations as first written: a separate np.log for the
+    means and a prefix sum built by np.concatenate."""
+    g, mean = np.asarray(f.values, dtype=np.float64), 0.0
+    if mean_mode == "residue":
+        n = np.arange(f.lo, f.hi + 1, dtype=np.float64)
+        xs = np.arange(x_first, x_last + 1, dtype=np.float64)
+        g, mean = g + poly(np.log(n)), H * poly(np.log(xs))
+
+    def box_sums(v, i0, count):
+        prefix = np.concatenate(([0.0], np.cumsum(v)))
+        return prefix[i0 + H : i0 + H + count] - prefix[i0 : i0 + count]
+
+    count = x_last - x_first + 1
+    if kind == "box":
+        return box_sums(g, x_first + 1 - f.lo, count) - mean
+    box = box_sums(g, x_first - H + 1 - f.lo, count + H - 1)
+    return box_sums(box, 0, count) / H - mean
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=_cells(), mean_mode=st.sampled_from(["residue", "window-poly"]))
+def test_deviations_keep_the_bits_of_the_first_formulas(cell, mean_mode):
+    N, H = cell
+    f = balanced_window(N, H)
+    q3 = residue_polynomial(3)
+    # the integral range, and each profile's widest range: the box one starts
+    # at f.lo - 1, outside the window
+    for kind, dev, ranges in (
+        ("box", box_deviations, [(N + 1, 2 * N), (f.lo - 1, f.hi - H)]),
+        ("triangle", triangle_deviations, [(N + 1, 2 * N), (f.lo + H, f.hi - H)]),
+    ):
+        for x_first, x_last in ranges:
+            got = dev(f, x_first, x_last, H, q3, mean_mode)
+            want = _first_deviations(f, x_first, x_last, H, q3, mean_mode, kind)
+            assert np.array_equal(got, want)
