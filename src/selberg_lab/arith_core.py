@@ -14,13 +14,12 @@ import os
 import struct
 from dataclasses import dataclass
 from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 
 from ._util import INT64_MAX, primes_upto
 
-_SIEVE_CHUNK = 1 << 20
+_SIEVE_CHUNK = 1 << 19
 
 # Laurent expansion of zeta at s=1: zeta(s) = 1/(s-1) + sum (-1)^j gamma_j (s-1)^j / j!.
 # Standard published digits; an Euler-Maclaurin recomputation in the test suite
@@ -135,45 +134,48 @@ def _binomial_factors(k: int, hi: int) -> np.ndarray:
     return np.array([min(t, INT64_MAX) for t in table], dtype=np.int64)
 
 
-def _checked_multiply(out: np.ndarray, idx: np.ndarray, factors: np.ndarray) -> None:
-    cur = out[idx]
-    if np.any(cur > INT64_MAX // factors):
-        raise OverflowError("divisor value exceeds the 64-bit range")
-    out[idx] = cur * factors
+def _sieve_chunk(out: np.ndarray, lo: int, k: int, primes: np.ndarray,
+                 binom: np.ndarray, limit: np.ndarray) -> None:
+    """Fill `out` with d_k(n) for n = lo, lo+1, ... by strided passes per prime.
 
-
-def _sieve_chunk(lo: int, hi: int, k: int, primes: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    size = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    out = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
+    For each p the multiples of p form the view out[start::p]; the exponent
+    of p gains 1 at every (p^e/p)-th element of that view for each e >= 2.
+    `smooth` collects the part of n made of the sieving primes, so n/smooth
+    is 1 or one prime above them.
+    """
+    size = out.size
+    out.fill(1)
+    smooth = np.ones(size, dtype=np.int64)
+    for p in primes.tolist():
         start = (-lo) % p
         if start >= size:
             continue
-        idx = np.arange(start, size, p, dtype=np.int64)
-        exp = np.ones(idx.size, dtype=np.int64)
-        rem[idx] //= p
-        pos = np.nonzero(rem[idx] % p == 0)[0]
-        while pos.size:
-            sel = idx[pos]
-            rem[sel] //= p
-            exp[pos] += 1
-            pos = pos[rem[sel] % p == 0]
-        _checked_multiply(out, idx, binom[exp])
-    # whatever survives the primes <= sqrt(hi) is itself prime
-    left = np.nonzero(rem > 1)[0]
-    if left.size:
-        _checked_multiply(out, left, np.int64(k))
-    return out
+        view = out[start::p]
+        exp = np.ones(view.size, dtype=np.intp)
+        smooth[start::p] *= p
+        pe = p * p
+        start_e = (-lo) % pe
+        while start_e < size:
+            exp[(start_e - start) // p :: pe // p] += 1
+            smooth[start_e::pe] *= p
+            pe *= p
+            start_e = (-lo) % pe
+        if np.any(view > limit[exp]):
+            raise OverflowError("divisor value exceeds the 64-bit range")
+        view *= binom[exp]
+    big = smooth != np.arange(lo, lo + size, dtype=np.int64)
+    if np.any(out[big] > INT64_MAX // k):
+        raise OverflowError("divisor value exceeds the 64-bit range")
+    np.multiply(out, k, out=out, where=big)
 
 
 def sieve_dk(lo: int, hi: int, k: int) -> DivisorTable:
-    """Exact d_k(n) for n in [lo, hi] by segmented smallest-prime sieving.
+    """Exact d_k(n) for n in [lo, hi] by a segmented, strided prime-power sieve.
 
-    Each n is reduced by the primes p <= sqrt(hi); per prime power p^e the
-    value picks up the multiplicative factor C(e+k-1, k-1). Overflow of the
-    64-bit value type raises instead of wrapping.
+    Each n picks up the factor C(e+k-1, k-1) for every prime power p^e
+    exactly dividing it with p <= sqrt(hi), and the factor k when a prime
+    above sqrt(hi) is left over. Overflow of the 64-bit value type raises
+    instead of wrapping.
     """
     if lo < 1 or lo > hi:
         raise ValueError(f"invalid range [{lo}, {hi}]")
@@ -181,13 +183,11 @@ def sieve_dk(lo: int, hi: int, k: int) -> DivisorTable:
         raise ValueError("divisor order k must be >= 2")
     primes = primes_upto(math.isqrt(hi))
     binom = _binomial_factors(k, hi)
-    chunks = []
-    a = lo
-    while a <= hi:
-        b = min(a + _SIEVE_CHUNK - 1, hi)
-        chunks.append(_sieve_chunk(a, b, k, primes, binom))
-        a = b + 1
-    return DivisorTable(lo=lo, values=np.concatenate(chunks), k=k)
+    limit = INT64_MAX // binom  # a value above limit[e] overflows times binom[e]
+    values = np.empty(hi - lo + 1, dtype=np.int64)
+    for a in range(lo, hi + 1, _SIEVE_CHUNK):
+        _sieve_chunk(values[a - lo : a - lo + _SIEVE_CHUNK], a, k, primes, binom, limit)
+    return DivisorTable(lo=lo, values=values, k=k)
 
 
 def _series_coeffs(constants: StieltjesConstants, order: int) -> list[float]:
@@ -306,9 +306,9 @@ _HEADER = struct.Struct("<4sqqi")  # magic, lo, length, k: 24 bytes
 
 def save_table(table: DivisorTable, path) -> None:
     """Flat little-endian binary layout: 24-byte header then int64 values."""
-    payload = _HEADER.pack(_MAGIC, table.lo, len(table.values), table.k)
-    data = np.ascontiguousarray(table.values, dtype="<i8").tobytes()
-    Path(path).write_bytes(payload + data)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, table.lo, len(table.values), table.k))
+        np.ascontiguousarray(table.values, dtype="<i8").tofile(fh)
 
 
 def load_table(path) -> DivisorTable:

@@ -158,11 +158,37 @@ def _cache_path(cfg: RunConfig, N: int, H: int) -> Path:
     return cfg.cache_dir / f"d{cfg.k}_N{N}_H{H}.bin"
 
 
-def _load_or_sieve(cfg: RunConfig, N: int, H: int):
-    """The (N, H) table on ]N-H, 2N+H] and its cache status: "cache hit", or sieved
-    because the file is missing ("written") or unreadable or of another window ("rewritten")."""
+def _bounds(N: int, H: int) -> tuple[int, int]:
+    """First and last n of the cell window ]N-H, 2N+H]."""
+    return max(N - H + 1, 1), 2 * N + H
+
+
+class _SieveMemo:
+    """The sieved table of the current N, on the window of the largest H among
+    N's grid cells. Every cell of that N that must be sieved is a slice of it,
+    so N is sieved once; coming back to an N already left sieves it again."""
+
+    def __init__(self, k: int, cells):
+        self.k = k
+        self.hmax: dict[int, int] = {}
+        for N, H in cells:
+            self.hmax[N] = max(H, self.hmax.get(N, H))
+        self.table = None
+
+    def window(self, N: int, H: int) -> arith_core.DivisorTable:
+        lo, hi = _bounds(N, self.hmax[N])
+        if self.table is None or (self.table.lo, self.table.hi) != (lo, hi):
+            self.table = arith_core.sieve_dk(lo, hi, self.k)
+        lo, hi = _bounds(N, H)
+        return arith_core.DivisorTable(lo=lo, values=self.table.slice(lo - 1, hi), k=self.k)
+
+
+def _load_or_sieve(cfg: RunConfig, N: int, H: int, memo: _SieveMemo):
+    """The (N, H) table on ]N-H, 2N+H] and its cache status: "cache hit", or cut
+    from N's table in `memo` because the file is missing ("written") or unreadable
+    or of another window ("rewritten")."""
     path = _cache_path(cfg, N, H)
-    lo, hi = max(N - H + 1, 1), 2 * N + H
+    lo, hi = _bounds(N, H)
     if path.is_file():
         try:
             table = arith_core.load_table(path)
@@ -171,20 +197,21 @@ def _load_or_sieve(cfg: RunConfig, N: int, H: int):
         except ValueError:  # truncated or not a table file
             pass
     status = "rewritten" if path.is_file() else "written"
-    return arith_core.sieve_dk(lo, hi, cfg.k), status
+    return memo.window(N, H), status
 
 
-def _get_table(cfg: RunConfig, N: int, H: int):
-    return _load_or_sieve(cfg, N, H)[0]
+def _get_table(cfg: RunConfig, N: int, H: int, memo: _SieveMemo):
+    return _load_or_sieve(cfg, N, H, memo)[0]
 
 
 def cmd_sieve(cfg: RunConfig) -> int:
     cells = _require_grid(cfg, integrals=False)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
+    memo = _SieveMemo(cfg.k, cells)
     lines = []
     for N, H in cells:
         path = _cache_path(cfg, N, H)
-        table, status = _load_or_sieve(cfg, N, H)
+        table, status = _load_or_sieve(cfg, N, H, memo)
         if status != "cache hit":
             arith_core.save_table(table, path)
         lines.append(
@@ -197,8 +224,9 @@ def cmd_sieve(cfg: RunConfig) -> int:
 def _integral_reports(cfg: RunConfig, cells):
     """integral_pair of each (N, H) cell, on its table balanced by the residue polynomial."""
     poly = arith_core.residue_polynomial(cfg.k)
+    memo = _SieveMemo(cfg.k, cells)
     for N, H in cells:
-        table = _get_table(cfg, N, H)
+        table = _get_table(cfg, N, H, memo)
         f = arith_core.balanced_sequence(table, poly, N, H)
         yield integral_pair(f, N, H, poly, cfg.method, cfg.mean_mode)
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests compare against.
 
 Nothing here shares code paths with the package: divisor counts come from
-ordered-tuple enumeration over divisor lists, energies and the three-range
-split from Riemann sums, window sums from plain Python loops, and the
-Stieltjes constants from an Euler-Maclaurin evaluation in mpmath.
+ordered-tuple enumeration over divisor lists or from trial division,
+energies and the three-range split from Riemann sums, window sums from
+plain Python loops, and the Stieltjes constants from an Euler-Maclaurin
+evaluation in mpmath.
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ def dk_by_enumeration(limit: int, k: int) -> list[int]:
     return [count(n, k) for n in range(1, limit + 1)]
 
 
+def dk_by_factoring(n: int, k: int) -> int:
+    """d_k(n) as a Python int: the product of C(e+k-1, k-1) over the prime powers
+    p^e exactly dividing n, found by trial division."""
+    total, p = 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        total *= math.comb(e + k - 1, k - 1)
+        p += 1
+    return total * (k if n > 1 else 1)
+
+
 def d3_single(n: int) -> int:
     """d_3(n) by enumerating (a, b) with a | n, b | n/a."""
     total = 0
@@ -49,6 +64,44 @@ def d3_single(n: int) -> int:
                     b += 1
         a += 1
     return total
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _checked_multiply(out: np.ndarray, idx: np.ndarray, factors) -> None:
+    cur = out[idx]
+    if np.any(cur > INT64_MAX // factors):
+        raise OverflowError("divisor value exceeds the 64-bit range")
+    out[idx] = cur * factors
+
+
+def sieve_chunk_trial_division(lo: int, hi: int, k: int, primes, binom) -> np.ndarray:
+    """d_k(n) for n in [lo, hi]: each n is divided by every prime p in `primes`
+    as often as p divides it, and picks up binom[e] for the exponent e found;
+    a remainder above 1 is one more prime, worth k. `binom[e]` = C(e+k-1, k-1)."""
+    size = hi - lo + 1
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    out = np.ones(size, dtype=np.int64)
+    for p in primes:
+        p = int(p)
+        start = (-lo) % p
+        if start >= size:
+            continue
+        idx = np.arange(start, size, p, dtype=np.int64)
+        exp = np.ones(idx.size, dtype=np.int64)
+        rem[idx] //= p
+        pos = np.nonzero(rem[idx] % p == 0)[0]
+        while pos.size:
+            sel = idx[pos]
+            rem[sel] //= p
+            exp[pos] += 1
+            pos = pos[rem[sel] % p == 0]
+        _checked_multiply(out, idx, binom[exp])
+    left = np.nonzero(rem > 1)[0]
+    if left.size:
+        _checked_multiply(out, left, np.int64(k))
+    return out
 
 
 def box_sum_brute(values, lo, x, H):

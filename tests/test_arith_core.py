@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from selberg_lab import arith_core
+from selberg_lab._util import primes_upto
 from selberg_lab.arith_core import (
     DEFAULT_STIELTJES,
     BalancedSequence,
+    DivisorTable,
     LogPolynomial,
     StieltjesConstants,
     Window,
@@ -102,6 +104,56 @@ def test_sieve_overflow_signals():
     # d_64(2^30) = C(93, 63) > 2^63: must raise, never wrap
     with pytest.raises(OverflowError):
         sieve_dk(2**30 - 4, 2**30 + 4, 64)
+
+
+def test_sieve_overflow_at_a_prime_power_factor():
+    # n = 2^9 * 3^7 < 2^21, and d_55(2^20) = C(74, 20) fits, so the factor table
+    # passes; d_55(2^9) * d_55(3^7) = C(63, 9) * C(61, 7) > 2^63 overflows at
+    # the factor of 3^7 (found by a Python-int search)
+    n = 2**9 * 3**7
+    assert math.comb(74, 20) <= arith_core.INT64_MAX
+    assert math.comb(63, 9) <= arith_core.INT64_MAX < math.comb(63, 9) * math.comb(61, 7)
+    below = sieve_dk(n - 4, n - 1, 55).values
+    assert below.tolist() == [oracles.dk_by_factoring(m, 55) for m in range(n - 4, n)]
+    with pytest.raises(OverflowError):
+        sieve_dk(n - 4, n + 4, 55)
+
+
+def test_sieve_overflow_at_the_large_prime_factor(monkeypatch):
+    # a Python-int search found no n < 2^45 that overflows at the last step
+    # (times k for the prime above sqrt(hi)) while the factor table fits, so
+    # the range is lowered:
+    # n = 210 * 211 with 211 > sqrt(n) has d_3(n) = 3^4 * 3 = 243
+    n = 210 * 211
+    monkeypatch.setattr(arith_core, "INT64_MAX", 243)
+    assert sieve_dk(n, n, 3).values.tolist() == [243]
+    monkeypatch.setattr(arith_core, "INT64_MAX", 242)
+    with pytest.raises(OverflowError):
+        sieve_dk(n, n, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    e=st.integers(1, 12),
+    offset=st.integers(-1, 1),
+    chunk=st.integers(1, 200),
+    before=st.integers(0, 3),
+    span=st.integers(0, 3000),
+    k=st.sampled_from([2, 3, 4, 7]),
+)
+def test_strided_sieve_equals_trial_division(p, e, offset, chunk, before, span, k):
+    # a chunk edge falls on, or next to, the prime power p^e
+    edge = p**e + offset
+    assume(edge - before * chunk >= 1)
+    lo = edge - before * chunk
+    hi = lo + span
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith_core, "_SIEVE_CHUNK", chunk)
+        strided = sieve_dk(lo, hi, k).values
+    primes = primes_upto(math.isqrt(hi))
+    binom = arith_core._binomial_factors(k, hi)
+    assert strided.tolist() == oracles.sieve_chunk_trial_division(lo, hi, k, primes, binom).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +360,19 @@ def test_table_roundtrip(tmp_path):
     assert back.lo == table.lo and back.k == table.k
     assert np.array_equal(back.values, table.values)
     assert path.stat().st_size == 24 + 8 * len(table.values)
+
+
+def test_table_of_a_view_roundtrips(tmp_path):
+    # a table cut from a larger one saves exactly the bytes of a table sieved alone
+    whole = sieve_dk(40, 300, 3)
+    part = DivisorTable(lo=50, values=whole.slice(49, 250), k=3)
+    assert part.values.base is not None
+    save_table(part, tmp_path / "part.bin")
+    save_table(sieve_dk(50, 250, 3), tmp_path / "alone.bin")
+    assert (tmp_path / "part.bin").read_bytes() == (tmp_path / "alone.bin").read_bytes()
+    back = load_table(tmp_path / "part.bin")
+    assert (back.lo, back.k) == (50, 3)
+    assert np.array_equal(back.values, part.values)
 
 
 def test_table_rejects_corruption(tmp_path):

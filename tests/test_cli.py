@@ -93,6 +93,81 @@ def test_unreadable_cache_file_is_resieved(tmp_path):
     assert "[cache hit]" in run_cli("sieve", *args).stdout
 
 
+# ---------------------------------------------------- one sieve per N
+
+GRID_WITH_REPEAT = ["--n", "4096", "--n", "5000", "--n", "4096", "--h", "8", "--h", "16", "--h", "12"]
+
+
+def _record_sieves(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) of every sieve_dk call made from now on."""
+    calls = []
+    real = arith_core.sieve_dk
+
+    def recording(lo, hi, k):
+        calls.append((lo, hi))
+        return real(lo, hi, k)
+
+    monkeypatch.setattr(arith_core, "sieve_dk", recording)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["sieve", "selberg", "fit"])
+def test_each_n_is_sieved_once_at_its_largest_h(command, tmp_path, monkeypatch, capsys):
+    calls = _record_sieves(monkeypatch)
+    argv = [command, *GRID_WITH_REPEAT, "--cache-dir", str(tmp_path)]
+    assert cli.main(argv + (["--delta", "0.15"] if command == "fit" else [])) == 0
+    capsys.readouterr()
+    first, second = (4096 - 15, 2 * 4096 + 16), (5000 - 15, 2 * 5000 + 16)
+    if command == "sieve":
+        # the repeated N finds every one of its files written by the first
+        assert calls == [first, second]
+    else:
+        # the cache is empty and stays so; the repeated N is sieved again
+        assert calls == [first, second, first]
+
+
+def test_files_cut_from_the_shared_table_equal_per_cell_sieves(tmp_path, capsys):
+    assert cli.main(["sieve", *GRID_WITH_REPEAT, "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for N in (4096, 5000):
+        for H in (8, 16, 12):
+            alone = tmp_path / f"alone_N{N}_H{H}.bin"
+            arith_core.save_table(arith_core.sieve_dk(N - H + 1, 2 * N + H, 3), alone)
+            assert (tmp_path / f"d3_N{N}_H{H}.bin").read_bytes() == alone.read_bytes()
+
+
+def test_mixed_cache_grid_prints_hit_written_and_rewritten(tmp_path):
+    # H = 8 is cached, H = 16 missing, H = 12 junk: one line per cell, in grid
+    # order, each with its own status, and each file as its cell sieved alone
+    assert run_cli("sieve", "--n", "4096", "--h", "8", "--cache-dir", "c",
+                   cwd=tmp_path).returncode == 0
+    (tmp_path / "c" / "d3_N4096_H12.bin").write_bytes(b"junk")
+    res = run_cli("sieve", "--n", "4096", "--h", "8", "--h", "16", "--h", "12",
+                  "--cache-dir", "c", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (
+        "sieve k=3 N=4096 H=8 entries=4112 path=c/d3_N4096_H8.bin [cache hit]\n"
+        "sieve k=3 N=4096 H=16 entries=4128 path=c/d3_N4096_H16.bin [written]\n"
+        "sieve k=3 N=4096 H=12 entries=4120 path=c/d3_N4096_H12.bin [rewritten]\n"
+    )
+    for H in (8, 16, 12):
+        assert arith_core.load_table(tmp_path / "c" / f"d3_N4096_H{H}.bin").values.tolist() == \
+            arith_core.sieve_dk(4096 - H + 1, 2 * 4096 + H, 3).values.tolist()
+
+
+def test_sieve_fill_prints_one_written_line_per_cell(tmp_path, capsys):
+    # the shape perfbench's fit_cached_1e6 set-up requires of its cache fill:
+    # its H grid at a smaller N, into an empty directory
+    N, hs = 100_000, (8, 16, 32, 64, 128, 250)
+    argv = ["sieve", "--n", str(N), *(a for H in hs for a in ("--h", str(H)))]
+    assert cli.main(argv + ["--cache-dir", str(tmp_path / "fresh")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(hs)
+    for line, H in zip(lines, hs):
+        assert line.endswith("[written]")
+        assert f" H={H} entries={N + 2 * H} " in line
+
+
 # ---------------------------------------------------------------- selberg
 
 
