@@ -23,7 +23,13 @@ from pathlib import Path
 from . import arith_core, asymptotics
 from ._util import MAX_H_EXPONENT, at_most_power, floor_power
 from .selberg import CSV_HEADER, MEAN_MODES, METHODS, integral_pair
-from .verification import DEFAULT_H, DEFAULT_N, VerifyConfig, run_verification
+from .verification import (
+    CORRELATION_CHECK_LENGTH,
+    DEFAULT_H,
+    DEFAULT_N,
+    VerifyConfig,
+    run_verification,
+)
 
 CACHE_ENV = "SELBERG_LAB_CACHE"
 DEFAULT_CACHE = ".selberg-cache"
@@ -93,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--k", type=int, default=3, help="divisor order (default 3)")
         q.add_argument("--mean", choices=MEAN_MODES, default="residue", help="subtracted mean convention")
         q.add_argument("--method", choices=METHODS, default="sliding", help="integral evaluation method")
-        q.add_argument("--hmax", type=int, default=64, help="max shift for correlation checks")
+        q.add_argument("--hmax", type=int, default=64,
+                       help=f"max shift of verify's FFT-vs-direct check, 0 to {CORRELATION_CHECK_LENGTH - 1}")
         q.add_argument("--grid", type=int, default=1 << 16, help="grid points for scans/quadrature")
         q.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is deterministic")
         q.add_argument("--out", help="output path (default stdout)")
@@ -119,6 +126,8 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError("k must be >= 2")
     if args.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if not 0 <= args.hmax < CORRELATION_CHECK_LENGTH:
+        raise ConfigError(f"--hmax must lie in [0, {CORRELATION_CHECK_LENGTH - 1}], got {args.hmax}")
     cache = args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
     default_fmt = "csv" if args.command == "selberg" else "json"
     return RunConfig(

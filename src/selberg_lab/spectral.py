@@ -101,9 +101,13 @@ def correlation(
     of the exact energy identities. With a proper sub-range the table is
     one-sided: C(-h) need not equal conj(C(h)).
 
-    The fft method pads to the next power of two at or above twice the
+    The fft method pads to the next power of two L at or above twice the
     length, so no circular wraparound can reach |h| <= hmax; it must agree
-    with the direct double loop.
+    with the direct double loop. Real f takes the real-FFT route: without
+    a base, irfft(|rfft(f, L)|^2, L); with one, a single rfft pair,
+    irfft(rfft(f_o, L) * conj(rfft(f, L)), L), where f_o is f zeroed
+    outside the base. Complex f takes the complex route, with fft and
+    ifft of length L.
     """
     f = np.asarray(f)
     M = len(f)
@@ -123,14 +127,15 @@ def correlation(
                 vals[hmax + h] = np.dot(f[i0:i1], np.conj(f[i0 - h : i1 - h]))
     elif method == "fft":
         L = next_pow2(2 * M)
-        if base is None and np.isrealobj(f):
-            power = np.abs(np.fft.rfft(f, L)) ** 2
-            ac = np.fft.irfft(power, L)
-        else:
-            fo = f if base is None else np.concatenate(
-                [np.zeros(b0, dtype=f.dtype), f[b0:b1], np.zeros(M - b1, dtype=f.dtype)]
-            )
+        fo = f if base is None else np.concatenate(
+            [np.zeros(b0, dtype=f.dtype), f[b0:b1], np.zeros(M - b1, dtype=f.dtype)]
+        )
+        if not np.isrealobj(f):
             ac = np.fft.ifft(np.fft.fft(fo, L) * np.conj(np.fft.fft(f, L)))
+        elif base is None:
+            ac = np.fft.irfft(np.abs(np.fft.rfft(f, L)) ** 2, L)
+        else:
+            ac = np.fft.irfft(np.fft.rfft(fo, L) * np.conj(np.fft.rfft(f, L)), L)
         vals = np.concatenate([ac[L - hmax : L], ac[: hmax + 1]])
     else:
         raise ValueError("method must be 'direct' or 'fft'")
@@ -219,9 +224,21 @@ def band_energy(f: np.ndarray, c: float) -> float:
 
 
 def _bisect(pred, inside: np.ndarray, outside: np.ndarray):
-    """Shrink each bracket to adjacent floats, keeping pred true at inside, false at outside."""
+    """Shrink each bracket of nonnegative floats to adjacent floats, keeping pred
+    true at inside and false at outside.
+
+    Midpoints are arithmetic. A midpoint below 2^-32 of the bracket's larger
+    starting end is replaced by the midpoint of the two ends' bit patterns
+    (nonnegative floats order as their int64 views), so a bracket that
+    closes in on 0 takes at most 64 more steps instead of one per binade.
+    """
+    floor = np.ldexp(np.maximum(inside, outside), -32)
     while True:
         mid = 0.5 * (inside + outside)
+        deep = mid < floor
+        if deep.any():
+            a, b = inside.view(np.int64), outside.view(np.int64)
+            mid = np.where(deep, (a + (b - a) // 2).view(np.float64), mid)
         moving = (mid != inside) & (mid != outside)
         if not moving.any():
             return inside, outside
@@ -234,10 +251,11 @@ def kernel_intervals(H: int, c: float) -> np.ndarray:
     """The alpha-intervals [a, b] of [0, 1/2] on which |u^(alpha)| > c, as rows.
 
     One row per kernel lobe [k/H, (k+1)/H] whose peak exceeds c, so rows are
-    sorted and disjoint. log|u^| is concave on a lobe: its peak is bisected on
-    the sign of the derivative, then each side on |u^| > c to adjacent floats,
-    so |u^| > c at each endpoint and <= c at the float just outside. Needs c
-    above the rounding of |u^| at the lobe edges; empty for c >= H.
+    sorted and disjoint. log|u^| is concave on a lobe: the main lobe peaks at
+    alpha = 0, every other peak is bisected on the sign of the derivative,
+    then each side on |u^| > c to adjacent floats, so |u^| > c at each
+    endpoint and <= c at the float just outside. Needs c above the rounding
+    of |u^| at the lobe edges; empty for c >= H.
     """
     if c <= 0.0:
         raise ValueError("threshold c must be positive")
@@ -251,8 +269,7 @@ def kernel_intervals(H: int, c: float) -> np.ndarray:
         x, y = np.pi * H * a, np.pi * a
         return (H * np.cos(x) * np.sin(y) - np.cos(y) * np.sin(x)) * np.sin(x) > 0.0
 
-    peak = _bisect(rising, lo, hi)[0]
-    peak[0] = 0.0  # the main lobe peaks at alpha = 0
+    peak = np.concatenate(([0.0], _bisect(rising, lo[1:], hi[1:])[0]))
     keep = above(peak)
     lo, hi, peak = lo[keep], hi[keep], peak[keep]
     left = _bisect(above, peak, lo)[0]

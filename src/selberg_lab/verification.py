@@ -42,6 +42,7 @@ class VerificationRecord:
 
 DEFAULT_N = 10_000
 DEFAULT_H = (10, 20)
+CORRELATION_CHECK_LENGTH = 512  # the FFT-vs-direct check's sequence; hmax stays below it
 
 
 @dataclass
@@ -136,7 +137,7 @@ def _check_dirichlet_kernel(cfg: VerifyConfig, out: list) -> None:
 
 def _check_correlation_methods(cfg: VerifyConfig, out: list) -> None:
     rng = np.random.default_rng(_RNG_SEED + 1)
-    f = rng.standard_normal(512)
+    f = rng.standard_normal(CORRELATION_CHECK_LENGTH)
     worst = 0.0
     for base in (None, (64, 448)):
         a = spectral.correlation(f, cfg.hmax, method="fft", base=base)
@@ -145,7 +146,7 @@ def _check_correlation_methods(cfg: VerifyConfig, out: list) -> None:
     out.append(
         VerificationRecord(
             check="correlation_fft_vs_direct",
-            params={"length": 512, "hmax": cfg.hmax},
+            params={"length": CORRELATION_CHECK_LENGTH, "hmax": cfg.hmax},
             ratio=float(worst),
             ok=bool(worst < 1e-9),
         )
@@ -170,22 +171,19 @@ def _check_parseval(cfg: VerifyConfig, out: list) -> None:
     )
 
 
-def _quadrature_energy(f: np.ndarray, H: int, weight: str, M: int) -> float:
-    P = np.abs(np.fft.fft(f, M)) ** 2
-    u = spectral.dirichlet_kernel_abs(np.fft.fftfreq(M), H)
-    w = u * u if weight == "box2" else (u * u) * (u * u) / (H * H)
-    return float(np.sum(P * w)) / M
-
-
 def _check_energy_quadrature(cfg: VerifyConfig, out: list) -> None:
     rng = np.random.default_rng(_RNG_SEED + 3)
     f = rng.standard_normal(256)
     H = 8
     M = max(cfg.grid_m, 1 << 16)
+    # |f^|^2 and |u^|^2 on the M-point grid, shared by both weights
+    P = np.abs(np.fft.fft(f, M)) ** 2
+    u = spectral.dirichlet_kernel_abs(np.fft.fftfreq(M), H)
+    u2 = u * u
     worst = 0.0
-    for weight in ("box2", "fejer2"):
+    for weight, w in (("box2", u2), ("fejer2", u2 * u2 / (H * H))):
         exact = spectral.spectral_energy(f, H, weight)
-        quad = _quadrature_energy(f, H, weight, M)
+        quad = float(np.sum(P * w)) / M
         worst = max(worst, _rel(exact, quad))
     out.append(
         VerificationRecord(

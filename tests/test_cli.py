@@ -282,6 +282,22 @@ def test_verify_in_process_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("hmax", [-1, 512])
+def test_hmax_outside_its_range_is_config_error_before_any_check(hmax, capsys, monkeypatch):
+    # the FFT-vs-direct check correlates 512 points: --hmax must lie in [0, 511]
+    monkeypatch.setattr(cli, "run_verification", lambda cfg: pytest.fail("checks ran"))
+    assert cli.main(["verify", "--n", "10000", "--hmax", str(hmax)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--hmax" in err and "[0, 511]" in err
+
+
+def test_hmax_at_its_upper_bound_runs(capsys):
+    assert cli.main(["verify", "--n", "10000", "--hmax", "511"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (rec,) = [r for r in records if r["check"] == "correlation_fft_vs_direct"]
+    assert rec["params"] == {"length": 512, "hmax": 511} and rec["ok"]
+
+
 # -------------------------------------------------------------------- fit
 
 

@@ -1,13 +1,16 @@
-"""Pinned CLI outputs in tests/golden/. The CSV grids and verify were written
-before the brute oracle was vectorised and before verify shared its
-integrals and correlations; the selberg JSON and fit outputs before the
-JSON rows were built from the report dataclass.
+"""Pinned CLI outputs in tests/golden/. The CSV grids were written before
+the brute oracle was vectorised; the selberg JSON and fit outputs before
+the JSON rows were built from the report dataclass. verify was written
+last when the route correlation of real f moved from the complex FFT to
+one real-FFT pair, which moved only the rhs, ratio and slack digits of
+its two correlation_route records, by at most 4e-11 relative.
 
 verify, fit and the sliding selberg grid (CSV and JSON) must stay
-byte-identical. The brute grid keeps J and every text field
-byte-identical; its J~ rows come from a matrix-vector product whose
-rounding differs from one dot product per row, so J~ and its ratio are
-held to a relative 1e-13.
+byte-identical unless a change names the bytes it moves as a behaviour
+change and writes the golden again. The brute grid keeps J and every
+text field byte-identical; its J~ rows come from a matrix-vector product
+whose rounding differs from one dot product per row, so J~ and its ratio
+are held to a relative 1e-13.
 """
 
 import csv

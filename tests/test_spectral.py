@@ -1,12 +1,14 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import gallagher, route_check, three_range
+from selberg_lab import spectral
 from selberg_lab.arith_core import BalancedSequence, balanced_window
 from selberg_lab.asymptotics import optimal_eps_E
 from selberg_lab.selberg import integral_pair
@@ -399,6 +401,39 @@ def test_kernel_intervals_threshold_property(H, q):
     i = np.searchsorted(a, alphas, side="right") - 1
     inside = (i >= 0) & (alphas <= b[np.maximum(i, 0)])
     assert np.array_equal(inside, dirichlet_kernel_abs(alphas, H) > c)
+
+
+def _counting_bisect(steps):
+    """spectral._bisect, appending to `steps` the predicate calls of each bisection."""
+    bisect = spectral._bisect
+
+    def counted(pred, inside, outside):
+        calls = 0
+
+        def counted_pred(a):
+            nonlocal calls
+            calls += 1
+            return pred(a)
+
+        try:
+            return bisect(counted_pred, inside, outside)
+        finally:
+            steps.append(calls)
+
+    return counted
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=st.integers(1, 300), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(H=11, q=1.0 - 2.0**-52)  # c = H - ulp: |u^| rounds to c from 1e-10 down past 2^-32/H
+def test_kernel_intervals_bisections_stay_short(H, q):
+    # a bracket shrinks to adjacent floats in under 100 steps; halving toward
+    # 0 one binade per step, as the main lobe's peak on [0, 1/H] or its right
+    # edge at such a c would, walks the subnormals
+    steps = []
+    with patch.object(spectral, "_bisect", _counting_bisect(steps)):
+        kernel_intervals(H, q * H)
+    assert max(steps, default=0) <= 128
 
 
 def test_kernel_intervals_edges():
