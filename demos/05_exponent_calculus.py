@@ -14,11 +14,9 @@ from fractions import Fraction
 from selberg_lab import (
     balance_check,
     balanced_window,
-    conjecture_ratio,
     exponent_map,
     fit_exponent,
     integral_pair,
-    lower_bound_ratio,
     optimal_eps_E,
     residue_polynomial,
 )
@@ -50,8 +48,8 @@ def main():
     for H in (16, 24, 32, 48, 64):
         rep = integral_pair(f, N, H, q3)
         samples.append((N, H, rep.J_tilde))
-        print(f"  H = {H:3d}: J~/(N*H) = {conjecture_ratio(N, H, rep.J_tilde):10.2f}   "
-              f"J/(N*H*log^4 N) = {lower_bound_ratio(N, H, rep.J):.3f}")
+        print(f"  H = {H:3d}: J~/(N*H) = {rep.ratio_J_tilde:10.2f}   "
+              f"J/(N*H*log^4 N) = {rep.lower_ratio:.3f}")
     fit = fit_exponent(samples, delta=0.1)
     print(f"  OLS of log(J~/N) on log H: slope = {fit.slope:.3f}, "
           f"A_hat = {fit.A_hat:.3f}, residual = {fit.residual:.3g}")

@@ -25,10 +25,8 @@ from .asymptotics import (
     ExponentParams,
     FitReport,
     balance_check,
-    conjecture_ratio,
     exponent_map,
     fit_exponent,
-    lower_bound_ratio,
     optimal_eps_E,
 )
 from .selberg import (
@@ -44,7 +42,6 @@ from .selberg import (
 )
 from .spectral import (
     CorrelationTable,
-    KernelProfile,
     band_energy,
     box_autocorrelation,
     correlation,
@@ -52,7 +49,6 @@ from .spectral import (
     dirichlet_kernel_abs,
     gallagher_check,
     kernel_localization_check,
-    kernel_profile,
     route_correlation,
     spectral_energy,
     three_range_split,

@@ -3,8 +3,8 @@
 The building blocks everything else consumes: a segmented sieve for the
 k-factor divisor function d_k, the Stieltjes constants, the degree-(k-1)
 polynomial q in L = log x with Res_{s=1} zeta(s)^k x^{s-1} = q(log x),
-and the balanced values f(n) = d_3(n) - p_2(log n) on the window
-]N-H, 2N+H].
+and the balanced values f(n) = d_k(n) - q(log n) on the window
+]N-H, 2N+H] (d_3 - p_2 for the paper's k = 3).
 """
 
 from __future__ import annotations
@@ -190,9 +190,9 @@ def sieve_dk(lo: int, hi: int, k: int) -> DivisorTable:
     return DivisorTable(lo=lo, values=values, k=k)
 
 
-def _series_coeffs(constants: StieltjesConstants, order: int) -> list[float]:
+def _series_coeffs(order: int) -> list[float]:
     """Taylor coefficients of w*zeta(1+w) = 1 + g0*w - g1*w^2 + (g2/2)*w^3 - ..."""
-    gam = constants.as_floats()
+    gam = DEFAULT_STIELTJES.as_floats()
     g = [1.0]
     for n in range(1, order + 1):
         g.append((-1.0) ** (n - 1) * gam[n - 1] / math.factorial(n - 1))
@@ -213,32 +213,22 @@ def _series_power(g: list[float], k: int, order: int) -> list[float]:
     return acc
 
 
-def residue_polynomial(
-    k: int,
-    constants: StieltjesConstants = DEFAULT_STIELTJES,
-    terms: int | None = None,
-) -> LogPolynomial:
+def residue_polynomial(k: int) -> LogPolynomial:
     """The degree-(k-1) polynomial q with Res_{s=1} zeta(s)^k x^{s-1} = q(log x).
 
     Writing s = 1+w, the residue is the w^(k-1) coefficient of
     (w*zeta(1+w))^k * x^w; expanding x^w = sum L^j w^j / j! gives
     q(L) = sum_j a_{k-1-j} L^j / j! with a_i the series coefficients of
-    (w*zeta(1+w))^k. Raising `terms` beyond its default must not change
-    the result (the extra coefficients never reach index k-1).
+    (w*zeta(1+w))^k, which need gamma_0..gamma_{k-2}.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k - 2 >= len(constants.gamma):
+    if k - 2 >= len(DEFAULT_STIELTJES.gamma):
         raise ValueError(
             f"residue of zeta^{k} needs gamma_0..gamma_{k-2}; "
-            f"only {len(constants.gamma)} constants supplied"
+            f"only {len(DEFAULT_STIELTJES.gamma)} constants stored"
         )
-    order = max(k - 1, 0) if terms is None else terms
-    if terms is not None and terms < k - 1:
-        raise ValueError("series truncation shorter than the needed coefficient")
-    g = _series_coeffs(constants, min(order, len(constants.gamma)))
-    g += [0.0] * (order + 1 - len(g))
-    a = _series_power(g, k, order)
+    a = _series_power(_series_coeffs(k - 1), k, k - 1)
     coeffs = tuple(a[k - 1 - j] / math.factorial(j) for j in range(k))
     return LogPolynomial(coeffs)
 
@@ -258,9 +248,9 @@ def summatory_polynomial(q: LogPolynomial) -> LogPolynomial:
 
 @dataclass(frozen=True)
 class BalancedSequence(Window):
-    """f(n) = d_3(n) - p_2(log n) on the window ]N-H, 2N+H].
+    """f(n) = d_k(n) - q_k(log n) on the window ]N-H, 2N+H], q_k the residue polynomial.
 
-    lo = N-H+1 and len(values) = N+2H; adding back p_2(log n) must
+    lo = N-H+1 and len(values) = N+2H; adding back q_k(log n) must
     reconstruct the integer divisor values.
     """
 
@@ -293,11 +283,10 @@ def balanced_sequence(
     return BalancedSequence(lo=lo, values=vals, N=N, H=H)
 
 
-def balanced_window(N: int, H: int, k: int = 3,
-                    constants: StieltjesConstants = DEFAULT_STIELTJES) -> BalancedSequence:
+def balanced_window(N: int, H: int, k: int = 3) -> BalancedSequence:
     """Sieve, build the residue polynomial, and subtract, in one step."""
     table = sieve_dk(max(N - H + 1, 1), 2 * N + H, k)
-    return balanced_sequence(table, residue_polynomial(k, constants), N, H)
+    return balanced_sequence(table, residue_polynomial(k), N, H)
 
 
 _MAGIC = b"DKT1"

@@ -112,17 +112,6 @@ class FitReport:
     delta: float
     empirical_only: bool = field(default=True)
 
-    def to_record(self) -> dict:
-        return {
-            "samples": [list(s) for s in self.samples],
-            "slope": self.slope,
-            "A_hat": self.A_hat,
-            "residual": self.residual,
-            "H_range": list(self.H_range),
-            "delta": self.delta,
-            "empirical_only": self.empirical_only,
-        }
-
 
 def fit_exponent(samples, delta: float = 0.1, eta: float = 0.1) -> FitReport:
     """Estimate A from measured (N, H, J~) triples.
@@ -163,19 +152,3 @@ def fit_exponent(samples, delta: float = 0.1, eta: float = 0.1) -> FitReport:
         H_range=(min(hs), max(hs)),
         delta=delta,
     )
-
-
-def lower_bound_ratio(N: int, H: int, J: float) -> float:
-    """J normalized by N * H * (log N)^4, the shape of the known lower bound."""
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    if J < 0:
-        raise ValueError("J must be nonnegative")
-    if H > 4 * N ** (1.0 / 3.0):
-        raise ValueError(f"H={H} outside the H <= 4*N^(1/3) regime at N={N}")
-    return J / (N * H * math.log(N) ** 4)
-
-
-def conjecture_ratio(N: int, H: int, J_tilde: float) -> float:
-    """J~ normalized by N*H, the shape of the conjectured upper bound."""
-    return J_tilde / (N * H)

@@ -62,6 +62,10 @@ class RunConfig:
     def cells(self, integrals: bool = True) -> list[tuple[int, int]]:
         """The (N, H) grid, in config order, checked whole before any cell is
         computed. With `integrals` every H must also be <= N/4, as J and J~ need."""
+        if not self.n_list:
+            raise ConfigError("at least one --n is required")
+        if self.theta is None and not self.h_list:
+            raise ConfigError("provide --h or --theta")
         out = []
         for N in self.n_list:
             if N < 1:
@@ -148,14 +152,6 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _require_grid(cfg: RunConfig, integrals: bool = True) -> list[tuple[int, int]]:
-    if not cfg.n_list:
-        raise ConfigError("at least one --n is required")
-    if cfg.theta is None and not cfg.h_list:
-        raise ConfigError("provide --h or --theta")
-    return cfg.cells(integrals)
-
-
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out_path:
         Path(cfg.out_path).write_text(text)
@@ -214,7 +210,7 @@ def _get_table(cfg: RunConfig, N: int, H: int, memo: _SieveMemo):
 
 
 def cmd_sieve(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg, integrals=False)
+    cells = cfg.cells(integrals=False)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
     memo = _SieveMemo(cfg.k, cells)
     lines = []
@@ -241,7 +237,7 @@ def _integral_reports(cfg: RunConfig, cells):
 
 
 def cmd_selberg(cfg: RunConfig) -> int:
-    rows = list(_integral_reports(cfg, _require_grid(cfg)))
+    rows = list(_integral_reports(cfg, cfg.cells()))
     if cfg.out_format == "csv":
         text = CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in rows)
     else:
@@ -261,7 +257,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg, integrals=cfg.inject is None)
+    cells = cfg.cells(integrals=cfg.inject is None)
     if cfg.inject is not None:
         if len(cfg.inject) != len(cells):
             raise ConfigError(
@@ -274,7 +270,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         fit = asymptotics.fit_exponent(samples, delta=cfg.delta, eta=cfg.eta)
     except ValueError as e:
         raise ConfigError(str(e))
-    _emit(cfg, json.dumps(fit.to_record(), sort_keys=True) + "\n")
+    _emit(cfg, json.dumps(asdict(fit), sort_keys=True) + "\n")
     return 0
 
 
@@ -286,7 +282,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,6 @@ class CorrelationTable:
 
     hmax: int
     values: np.ndarray
-    method: str
     base_lo: int | None = None
     base_hi: int | None = None
 
@@ -56,16 +55,6 @@ class CorrelationTable:
         return self.values[self.hmax - hmax : self.hmax + hmax + 1]
 
 
-@dataclass(frozen=True)
-class KernelProfile:
-    """|u^(alpha)| sampled on a uniform grid over [-1/2, 1/2]."""
-
-    H: int
-    grid_m: int
-    alphas: np.ndarray
-    values: np.ndarray
-
-
 def dirichlet_kernel_abs(alpha, H: int):
     """|sum_{h<=H} e(h*alpha)| = |sin(pi*H*alpha) / sin(pi*alpha)|, = H at alpha = 0."""
     if H < 1:
@@ -77,14 +66,6 @@ def dirichlet_kernel_abs(alpha, H: int):
     if a.ndim == 0:
         return float(out)
     return out
-
-
-def kernel_profile(H: int, grid_m: int) -> KernelProfile:
-    """Sample the kernel magnitude on an inclusive uniform grid."""
-    if grid_m < 2:
-        raise ValueError("grid must have at least 2 points")
-    alphas = np.linspace(-0.5, 0.5, grid_m)
-    return KernelProfile(H=H, grid_m=grid_m, alphas=alphas, values=dirichlet_kernel_abs(alphas, H))
 
 
 def correlation(
@@ -142,7 +123,7 @@ def correlation(
     if np.isrealobj(f):
         vals = np.real(vals)
     lo, hi = (None, None) if base is None else (b0, b1)
-    return CorrelationTable(hmax=hmax, values=vals, method=method, base_lo=lo, base_hi=hi)
+    return CorrelationTable(hmax=hmax, values=vals, base_lo=lo, base_hi=hi)
 
 
 def box_autocorrelation(H: int) -> CorrelationTable:
@@ -151,7 +132,7 @@ def box_autocorrelation(H: int) -> CorrelationTable:
         raise ValueError("H must be >= 1")
     ones = np.ones(H)
     vals = np.convolve(ones, ones)  # even weight: convolution = correlation
-    return CorrelationTable(hmax=H - 1, values=vals, method="direct")
+    return CorrelationTable(hmax=H - 1, values=vals)
 
 
 def triangle_autocorrelation(H: int) -> CorrelationTable:
@@ -160,7 +141,7 @@ def triangle_autocorrelation(H: int) -> CorrelationTable:
         raise ValueError("H must be >= 1")
     w = 1.0 - np.abs(np.arange(-(H - 1), H, dtype=np.float64)) / H
     vals = np.convolve(w, w)
-    return CorrelationTable(hmax=2 * H - 2, values=vals, method="direct")
+    return CorrelationTable(hmax=2 * H - 2, values=vals)
 
 
 def spectral_energy(f: np.ndarray, H: int, weight: str = "box2") -> float:
@@ -284,7 +265,8 @@ def _in_intervals(alphas: np.ndarray, iv: np.ndarray) -> np.ndarray:
 
 
 def kernel_localization_check(H: int, eps: float, grid_m: int) -> int:
-    """Count grid points with |u^(alpha)| > [eps*H] but |alpha| >= 1/(2*[eps*H]).
+    """Count points of the inclusive grid of grid_m points over [-1/2, 1/2]
+    with |u^(alpha)| > [eps*H] but |alpha| >= 1/(2*[eps*H]).
 
     Large kernel values can only occur near alpha = 0, so the count must
     be zero for every admissible (H, eps).
@@ -294,8 +276,10 @@ def kernel_localization_check(H: int, eps: float, grid_m: int) -> int:
     m = math.floor(eps * H)
     if m < 1:
         raise ValueError("[eps*H] must be >= 1")
-    prof = kernel_profile(H, grid_m)
-    bad = (prof.values > m) & (np.abs(prof.alphas) >= 1.0 / (2.0 * m))
+    if grid_m < 2:
+        raise ValueError("grid must have at least 2 points")
+    alphas = np.linspace(-0.5, 0.5, grid_m)
+    bad = (dirichlet_kernel_abs(alphas, H) > m) & (np.abs(alphas) >= 1.0 / (2.0 * m))
     return int(np.count_nonzero(bad))
 
 

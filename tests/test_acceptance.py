@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +33,8 @@ from selberg_lab.arith_core import (
 )
 from selberg_lab.asymptotics import (
     balance_check,
-    conjecture_ratio,
     exponent_map,
     fit_exponent,
-    lower_bound_ratio,
     optimal_eps_E,
 )
 from selberg_lab.selberg import integral_pair, modified_selberg_integral, selberg_integral
@@ -250,8 +249,8 @@ def test_criterion_10_empirical_ratios(balanced_1e5, balanced_1e6):
         N = f.N
         H = int(N**0.25)
         rep = integral_pair(f, N, H, q3)
-        lowers.append(lower_bound_ratio(N, H, rep.J))
-        ratios.append(conjecture_ratio(N, H, rep.J_tilde))
+        lowers.append(rep.lower_ratio)
+        ratios.append(rep.ratio_J_tilde)
         samples.append((N, H, rep.J_tilde))
     positive_ok = all(r > 0 for r in lowers)
     spread_ok = max(lowers) / min(lowers) <= 10.0
@@ -263,7 +262,7 @@ def test_criterion_10_empirical_ratios(balanced_1e5, balanced_1e6):
         selberg_integral(balanced_1e5, 10**5, 17, q3).J
     )
     fit2 = fit_exponent(samples, delta=0.1)
-    rerun_ok = rerun_ok and json.dumps(fit.to_record()) == json.dumps(fit2.to_record())
+    rerun_ok = rerun_ok and json.dumps(asdict(fit)) == json.dumps(asdict(fit2))
     print(
         f"[criterion 10] reported: lower ratios = {lowers[0]:.3f}, {lowers[1]:.3f}; "
         f"conjecture ratios = {ratios[0]:.1f}, {ratios[1]:.1f}; A_hat = {fit.A_hat:.3f}"

@@ -205,12 +205,6 @@ def test_residue_polynomial_small_orders():
     assert q3.coeffs[2] == 0.5  # 1/(k-1)! exactly
 
 
-def test_residue_polynomial_truncation_invariance():
-    base = residue_polynomial(3)
-    for extra in (3, 5, 9):
-        assert residue_polynomial(3, terms=extra).coeffs == base.coeffs
-
-
 def test_residue_polynomial_needs_constants():
     with pytest.raises(ValueError):
         residue_polynomial(5)  # would need gamma_3

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +6,9 @@ import pytest
 from selberg_lab.asymptotics import (
     E_exponent,
     balance_check,
-    conjecture_ratio,
     eps_exponent,
     exponent_map,
     fit_exponent,
-    lower_bound_ratio,
     optimal_eps_E,
 )
 
@@ -112,23 +109,3 @@ def test_fit_guards():
         fit_exponent([(10**6, 100, 0.0), (10**6, 200, 1e8)], delta=0.05)
     with pytest.raises(ValueError):
         fit_exponent([(10**6, 100, 1e8), (10**6, 200, 2e8)], delta=0.7)
-
-
-def test_lower_bound_ratio_values():
-    assert lower_bound_ratio(1000, 10, 0.0) == 0.0
-    J = 1000 * 10 * math.log(1000) ** 4
-    assert lower_bound_ratio(1000, 10, J) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_lower_bound_ratio_guards():
-    with pytest.raises(ValueError):
-        lower_bound_ratio(2, 1, 1.0)
-    with pytest.raises(ValueError):
-        lower_bound_ratio(1000, 10, -1.0)
-    with pytest.raises(ValueError):
-        lower_bound_ratio(1000, 100, 1.0)  # H above 4 N^(1/3)
-
-
-def test_conjecture_ratio():
-    assert conjecture_ratio(100, 10, 1000.0) == 1.0
-    assert conjecture_ratio(100, 10, 0.0) == 0.0

@@ -268,7 +268,7 @@ def test_verify_detects_tampered_kernel(monkeypatch):
     # an off-by-one box correlation must trip the hard formula check
     def tampered(H):
         vals = np.maximum(H - 1 - np.abs(np.arange(-(H - 1), H)), 0).astype(float)
-        return CorrelationTable(hmax=H - 1, values=vals, method="direct")
+        return CorrelationTable(hmax=H - 1, values=vals)
 
     monkeypatch.setattr(spectral, "box_autocorrelation", tampered)
     from selberg_lab.verification import VerifyConfig, run_verification
@@ -338,8 +338,15 @@ def test_fit_eta_floor_is_config_error():
 
 
 def test_config_errors_exit_two():
-    assert run_cli("selberg", "--h", "10").returncode == 2  # no --n
-    assert run_cli("selberg", "--n", "1000").returncode == 2  # no h rule
+    for command in ("selberg", "sieve", "fit"):
+        no_n = run_cli(command, "--h", "10")
+        assert no_n.returncode == 2 and "at least one --n is required" in no_n.stderr
+        no_h = run_cli(command, "--n", "1000")
+        assert no_h.returncode == 2 and "provide --h or --theta" in no_h.stderr
+    for command in ("sieve", "verify"):  # d_1000 leaves int64 on the first prime power
+        res = run_cli(command, "--n", "10000", "--h", "10", "--k", "1000")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     assert run_cli("selberg", "--n", "1000", "--h", "10", "--theta", "0.2").returncode == 2
     assert run_cli("selberg", "--n", "1000", "--theta", "0.6").returncode == 2
     assert run_cli("selberg", "--n", "1000", "--h", "40").returncode == 2  # H > N^0.49

@@ -21,7 +21,6 @@ from selberg_lab.spectral import (
     gallagher_check,
     kernel_intervals,
     kernel_localization_check,
-    kernel_profile,
     route_correlation,
     spectral_energy,
     three_range_split,
@@ -157,9 +156,9 @@ def test_kernel_against_exponential_sum():
 
 
 def test_kernel_profile_invariants():
-    prof = kernel_profile(64, 4097)  # odd grid includes alpha = 0
-    assert prof.values[2048] == 64.0
-    assert float(np.max(prof.values)) <= 64.0 * (1 + 1e-12)
+    values = dirichlet_kernel_abs(np.linspace(-0.5, 0.5, 4097), 64)  # odd grid includes alpha = 0
+    assert values[2048] == 64.0
+    assert float(np.max(values)) <= 64.0 * (1 + 1e-12)
 
 
 def test_kernel_localization_zero_violations():
@@ -172,6 +171,8 @@ def test_kernel_localization_guards():
         kernel_localization_check(5, 0.1, 1000)  # [eps H] = 0
     with pytest.raises(ValueError):
         kernel_localization_check(100, 1.5, 1000)
+    with pytest.raises(ValueError):
+        kernel_localization_check(100, 0.1, 1)  # grid of one point
 
 
 # ---------------------------------------------------------- band energy

@@ -38,7 +38,7 @@ def test_soft_checks_never_fail_run():
 def test_tampered_kernel_gives_exit_one(monkeypatch, capsys):
     def tampered(H):
         vals = np.maximum(H - 1 - np.abs(np.arange(-(H - 1), H)), 0).astype(float)
-        return CorrelationTable(hmax=H - 1, values=vals, method="direct")
+        return CorrelationTable(hmax=H - 1, values=vals)
 
     monkeypatch.setattr(spectral, "box_autocorrelation", tampered)
     code = cli.main(["verify", "--n", "2000", "--h", "10", "--grid", "16384"])
