@@ -11,9 +11,9 @@ the three-range majorization with its measured slack.
 import numpy as np
 
 from selberg_lab import (
+    autocorrelation,
     balanced_window,
     box_autocorrelation,
-    correlation,
     correlation_route_check,
     dirichlet_kernel_abs,
     gallagher_check,
@@ -53,7 +53,7 @@ def main():
     t = f.truncated()
     print(f"  int |f^|^2 |u^|^2        = {spectral_energy(t, 32, 'box2'):.6g}")
     print(f"  int |f^|^2 |u^|^4 / H^2  = {spectral_energy(t, 32, 'fejer2'):.6g}")
-    r = correlation_route_check(f, N, 32, integral_pair(f, N, 32), route_correlation(f, N, 62))
+    r = correlation_route_check(integral_pair(f, N, 32), route_correlation(f))
     print(f"  J  direct vs correlation : {r.j_direct:.6g} vs {r.j_corr:.6g}"
           f"  (|diff|/H^3 = {r.norm_diff_j:.2f})")
     print(f"  J~ direct vs correlation : {r.jt_direct:.6g} vs {r.jt_corr:.6g}"
@@ -61,9 +61,9 @@ def main():
     print(RULE)
 
     print("modified Gallagher comparison h^2 * band energy vs J~ + h^3:")
-    ac = correlation(t, N - 1)  # one autocorrelation serves every band
+    ac = autocorrelation(f)  # one autocorrelation serves every band
     for h in (10, 20, 40):
-        g = gallagher_check(f, N, h, integral_pair(f, N, h), ac)
+        g = gallagher_check(integral_pair(f, N, h), ac)
         print(f"  h = {h:3d}: lhs = {g.lhs:.4g}, rhs = {g.rhs:.4g}, ratio = {g.ratio:.3f}")
     print(RULE)
 
@@ -71,8 +71,7 @@ def main():
     N, H = 4000, 25
     f = balanced_window(N, H)
     p = optimal_eps_E(0, H)
-    r = three_range_split(f, N, H, p.eps, p.E, integral_pair(f, N, H),
-                          correlation(f.truncated(), N - 1))
+    r = three_range_split(integral_pair(f, N, H), autocorrelation(f), p.eps, p.E)
     print(f"  eps = {p.eps:.4f}, E = {p.E:.4f}, majorization checked at {r.grid_m} kernel points")
     print(f"  T1 = {r.t1:.4g}, T2 = {r.t2:.4g}, T3 = {r.t3:.4g}, H^3 = {r.h_cubed:.4g}")
     print(f"  J direct = {r.j_direct:.4g}")

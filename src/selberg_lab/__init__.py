@@ -42,6 +42,7 @@ from .selberg import (
 )
 from .spectral import (
     CorrelationTable,
+    autocorrelation,
     band_energy,
     box_autocorrelation,
     correlation,

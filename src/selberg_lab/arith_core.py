@@ -82,9 +82,6 @@ class StieltjesConstants:
         if len(self.gamma) >= 2 and not Decimal("-0.073") < self.gamma[1] < Decimal("-0.072"):
             raise ValueError("gamma_1 outside its sanity bracket (-0.073, -0.072)")
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(g) for g in self.gamma)
-
 
 DEFAULT_STIELTJES = StieltjesConstants(tuple(Decimal(s) for s in _STIELTJES_DIGITS))
 
@@ -102,13 +99,6 @@ class LogPolynomial:
 
     coeffs: tuple[float, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
-
     def __call__(self, L):
         acc = np.zeros_like(np.asarray(L, dtype=np.float64))
         for c in reversed(self.coeffs):  # Horner in place: no temporary per step
@@ -117,10 +107,6 @@ class LogPolynomial:
         if np.ndim(L) == 0:
             return float(acc)
         return acc
-
-    @staticmethod
-    def zero() -> "LogPolynomial":
-        return LogPolynomial((0.0,))
 
 
 def _binomial_factors(k: int, hi: int) -> np.ndarray:
@@ -192,10 +178,9 @@ def sieve_dk(lo: int, hi: int, k: int) -> DivisorTable:
 
 def _series_coeffs(order: int) -> list[float]:
     """Taylor coefficients of w*zeta(1+w) = 1 + g0*w - g1*w^2 + (g2/2)*w^3 - ..."""
-    gam = DEFAULT_STIELTJES.as_floats()
     g = [1.0]
     for n in range(1, order + 1):
-        g.append((-1.0) ** (n - 1) * gam[n - 1] / math.factorial(n - 1))
+        g.append((-1.0) ** (n - 1) * float(DEFAULT_STIELTJES.gamma[n - 1]) / math.factorial(n - 1))
     return g
 
 

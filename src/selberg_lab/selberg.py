@@ -109,7 +109,7 @@ def _deviation_inputs(f: Window, x_first: int, x_last: int, H: int, poly, mean_m
         raise ValueError(f"mean_mode must be one of {MEAN_MODES}")
     if not f.covers(n_first, x_last + H):
         raise ValueError(f"window [{f.lo}, {f.hi}] does not cover [{n_first}, {x_last + H}]")
-    if mean_mode == "window-poly" or poly is None or poly.is_zero():
+    if mean_mode == "window-poly" or poly is None:
         return np.asarray(f.values, dtype=np.float64), 0.0
     # one log per n from min(x_first, f.lo) to f.hi serves both g and the mean
     # (np.log is elementwise, so a slice has the bits of a separate call);

@@ -74,23 +74,23 @@ def correlation(
     method: str = "fft",
     base: tuple[int, int] | None = None,
 ) -> CorrelationTable:
-    """Shifted autocorrelation C(h) = sum f(n) conj(f(n-h)).
+    """Shifted autocorrelation C(h) = sum f(n) f(n-h) of a real sequence.
 
     The outer index n runs over `base` (a half-open index range, default
     the whole array); the inner index n-h is clipped to the array. With
     the default base both indices live in the same range, the convention
     of the exact energy identities. With a proper sub-range the table is
-    one-sided: C(-h) need not equal conj(C(h)).
+    one-sided: C(-h) need not equal C(h).
 
     The fft method pads to the next power of two L at or above twice the
     length, so no circular wraparound can reach |h| <= hmax; it must agree
-    with the direct double loop. Real f takes the real-FFT route: without
-    a base, irfft(|rfft(f, L)|^2, L); with one, a single rfft pair,
-    irfft(rfft(f_o, L) * conj(rfft(f, L)), L), where f_o is f zeroed
-    outside the base. Complex f takes the complex route, with fft and
-    ifft of length L.
+    with the direct double loop. Without a base it is irfft(|rfft(f, L)|^2, L);
+    with one, a single rfft pair, irfft(rfft(f_o, L) * conj(rfft(f, L)), L),
+    where f_o is f zeroed outside the base.
     """
     f = np.asarray(f)
+    if not np.isrealobj(f):
+        raise ValueError("correlation takes a real sequence")
     M = len(f)
     if not 0 <= hmax < M:
         raise ValueError(f"hmax={hmax} out of range for length {M}")
@@ -98,30 +98,24 @@ def correlation(
     if not 0 <= b0 < b1 <= M:
         raise ValueError(f"invalid base range [{b0}, {b1}) for length {M}")
     if method == "direct":
-        vals = np.empty(2 * hmax + 1, dtype=np.complex128)
+        vals = np.zeros(2 * hmax + 1)
         for h in range(-hmax, hmax + 1):
             i0 = max(b0, h)
             i1 = min(b1, M + h)
-            if i0 >= i1:
-                vals[hmax + h] = 0.0
-            else:
-                vals[hmax + h] = np.dot(f[i0:i1], np.conj(f[i0 - h : i1 - h]))
+            if i0 < i1:
+                vals[hmax + h] = np.dot(f[i0:i1], f[i0 - h : i1 - h])
     elif method == "fft":
         L = next_pow2(2 * M)
-        fo = f if base is None else np.concatenate(
-            [np.zeros(b0, dtype=f.dtype), f[b0:b1], np.zeros(M - b1, dtype=f.dtype)]
-        )
-        if not np.isrealobj(f):
-            ac = np.fft.ifft(np.fft.fft(fo, L) * np.conj(np.fft.fft(f, L)))
-        elif base is None:
+        if base is None:
             ac = np.fft.irfft(np.abs(np.fft.rfft(f, L)) ** 2, L)
         else:
+            fo = np.concatenate(
+                [np.zeros(b0, dtype=f.dtype), f[b0:b1], np.zeros(M - b1, dtype=f.dtype)]
+            )
             ac = np.fft.irfft(np.fft.rfft(fo, L) * np.conj(np.fft.rfft(f, L)), L)
         vals = np.concatenate([ac[L - hmax : L], ac[: hmax + 1]])
     else:
         raise ValueError("method must be 'direct' or 'fft'")
-    if np.isrealobj(f):
-        vals = np.real(vals)
     lo, hi = (None, None) if base is None else (b0, b1)
     return CorrelationTable(hmax=hmax, values=vals, base_lo=lo, base_hi=hi)
 
@@ -162,7 +156,7 @@ def spectral_energy(f: np.ndarray, H: int, weight: str = "box2") -> float:
     cf = correlation(f, hm, method="fft")
     w = wtable.values[wtable.hmax - hm : wtable.hmax + hm + 1]
     prod = w * cf.values[::-1]
-    return compensated_sum(np.real(prod))
+    return compensated_sum(prod)
 
 
 def _interval_kernel(intervals, n: int) -> np.ndarray:
@@ -201,7 +195,7 @@ def band_energy(f: np.ndarray, c: float) -> float:
     if c == 0.0:
         return 0.0
     table = correlation(f, len(f) - 1)
-    return _band(np.real(table.values[table.hmax :]), c)
+    return _band(table.values[table.hmax :], c)
 
 
 def _bisect(pred, inside: np.ndarray, outside: np.ndarray):
@@ -304,61 +298,50 @@ def _require_modest_h(N: int, H: int, label: str) -> None:
         raise ValueError(f"{label}: H={H} exceeds N^0.49 at N={N}")
 
 
-def _require_direct(f: BalancedSequence, N: int, H: int, direct: IntegralReport, label: str):
-    if f.N != N:
-        raise ValueError("sequence metadata does not match N")
-    if (direct.N, direct.H) != (N, H):
-        raise ValueError(
-            f"{label}: direct integrals are for (N, H) = ({direct.N}, {direct.H}), not ({N}, {H})"
-        )
-
-
 def _full_lags(ac: CorrelationTable, N: int, label: str) -> np.ndarray:
-    """Lags 0..N-1 of ac, which must be correlation(f.truncated(), N - 1)."""
+    """Lags 0..N-1 of ac, which must be autocorrelation(f) of an f with f.N = N."""
     if ac.hmax != N - 1 or ac.base_lo is not None:
         raise ValueError(f"{label}: ac is not the autocorrelation of f on ]N, 2N] at every lag")
     return ac.values[ac.hmax :]
 
 
-def route_correlation(f: BalancedSequence, N: int, hmax: int) -> CorrelationTable:
-    """The correlation of f with its outer index on ]N, 2N], for shifts up to hmax.
+def autocorrelation(f: BalancedSequence) -> CorrelationTable:
+    """The correlation of f on ]N, 2N] with itself, at every lag 0..N-1.
 
-    correlation_route_check pairs it with the weights of H; hmax = 2H - 2
-    covers the triangle weight of every H up to that one.
+    gallagher_check and three_range_split read it; one table serves every H.
     """
-    return correlation(f.values, hmax, method="fft", base=_base_range(f, N))
+    return correlation(f.truncated(), f.N - 1)
 
 
-def _base_range(f: BalancedSequence, N: int) -> tuple[int, int]:
-    """The index range of ]N, 2N] in f.values, half-open."""
-    return N + 1 - f.lo, 2 * N + 1 - f.lo
+def route_correlation(f: BalancedSequence) -> CorrelationTable:
+    """The correlation of f with its outer index on ]N, 2N], for shifts up to 2H - 2.
+
+    correlation_route_check pairs it with the weights of H; the reach
+    2*f.H - 2 covers the triangle weight of every H up to f.H. ]N, 2N] is
+    the index range [H, N + H) of f.values.
+    """
+    return correlation(f.values, 2 * f.H - 2, base=(f.H, f.N + f.H))
 
 
-def correlation_route_check(
-    f: BalancedSequence,
-    N: int,
-    H: int,
-    direct: IntegralReport,
-    cf: CorrelationTable,
-) -> CorrelationRouteReport:
+def correlation_route_check(direct: IntegralReport, cf: CorrelationTable) -> CorrelationRouteReport:
     """Both integrals, both routes; discrepancies are reported per H^3.
 
     direct is the direct route, integral_pair(f, N, H) without a
-    polynomial; cf is route_correlation(f, N, hmax) for some hmax >= 2H - 2
-    (its values do not depend on hmax). The correlation C_f has its outer
-    index restricted to ]N, 2N] and the inner one clipped to the available
-    window, so the two routes differ by range-edge products; that
-    discrepancy is the H^3-order boundary term being tracked.
+    polynomial, and gives N and H; cf is route_correlation(f) of an f with
+    f.H >= H (its values do not depend on the reach). The correlation C_f
+    has its outer index restricted to ]N, 2N] and the inner one clipped to
+    the available window, so the two routes differ by range-edge products;
+    that discrepancy is the H^3-order boundary term being tracked.
     """
-    _require_direct(f, N, H, direct, "correlation_route_check")
+    N, H = direct.N, direct.H
     _require_modest_h(N, H, "correlation_route_check")
-    if (cf.base_lo, cf.base_hi) != _base_range(f, N):
+    if cf.base_lo is None or cf.base_hi - cf.base_lo != N:
         raise ValueError("correlation_route_check: cf is not based on ]N, 2N]")
     j_direct, jt_direct = direct.J, direct.J_tilde
     cu = box_autocorrelation(H)
-    j_corr = compensated_sum(np.real(cu.values * cf.window(cu.hmax)))
+    j_corr = compensated_sum(cu.values * cf.window(cu.hmax))
     cw = triangle_autocorrelation(H)
-    jt_corr = compensated_sum(np.real(cw.values * cf.window(cw.hmax)))
+    jt_corr = compensated_sum(cw.values * cf.window(cw.hmax))
     h3 = float(H) ** 3
     return CorrelationRouteReport(
         N=N,
@@ -387,19 +370,13 @@ class GallagherReport:
     ratio: float
 
 
-def gallagher_check(
-    f: BalancedSequence,
-    N: int,
-    h: int,
-    direct: IntegralReport,
-    ac: CorrelationTable,
-) -> GallagherReport:
+def gallagher_check(direct: IntegralReport, ac: CorrelationTable) -> GallagherReport:
     """Compare h^2 * int_{|a|<=1/(2h)} |f^|^2 with J~(N,h) + h^3.
 
-    J~ comes from direct, integral_pair(f, N, h) without a polynomial, and
-    the band energy from ac, correlation(f.truncated(), N - 1).
+    N, h and J~ come from direct, integral_pair(f, N, h) without a
+    polynomial, and the band energy from ac, autocorrelation(f).
     """
-    _require_direct(f, N, h, direct, "gallagher_check")
+    N, h = direct.N, direct.H
     if h < 10:
         raise ValueError("h must be >= 10 (large-h regime)")
     _require_modest_h(N, h, "gallagher_check")
@@ -432,13 +409,7 @@ class ThreeRangeReport:
 
 
 def three_range_split(
-    f: BalancedSequence,
-    N: int,
-    H: int,
-    eps: float,
-    E: float,
-    direct: IntegralReport,
-    ac: CorrelationTable,
+    direct: IntegralReport, ac: CorrelationTable, eps: float, E: float
 ) -> ThreeRangeReport:
     """Split int |f^|^2 |u^|^2 by kernel size and majorize each range.
 
@@ -449,11 +420,11 @@ def three_range_split(
     kernel_intervals, so each piece pairs the full correlation of f with
     interval kernels, exactly: T1 and T2 by Parseval minus interval
     energies, T3 through the kernel convolved with the coefficients of
-    |u^|^4 (the box autocorrelation convolved with itself). J comes from
-    direct, integral_pair(f, N, H) without a polynomial, and ac is
-    correlation(f.truncated(), N - 1).
+    |u^|^4 (the box autocorrelation convolved with itself). N, H and J
+    come from direct, integral_pair(f, N, H) without a polynomial, and ac
+    is autocorrelation(f).
     """
-    _require_direct(f, N, H, direct, "three_range_split")
+    N, H = direct.N, direct.H
     if not 0.0 < eps < E <= 1.0:
         raise ValueError("need 0 < eps < E <= 1")
     m = math.floor(eps * H)

@@ -219,8 +219,7 @@ def _check_exponent_algebra(cfg: VerifyConfig, out: list) -> None:
     )
 
 
-def _check_integral_methods(cfg: VerifyConfig, N: int, H: int, f, out: list) -> None:
-    poly = arith_core.residue_polynomial(cfg.k)
+def _check_integral_methods(N: int, H: int, f, poly, out: list) -> None:
     a = integral_pair(f, N, H, poly, method="sliding")
     b = integral_pair(f, N, H, poly, method="brute")
     worst = max(_rel(a.J, b.J), _rel(a.J_tilde, b.J_tilde))
@@ -236,22 +235,21 @@ def _check_integral_methods(cfg: VerifyConfig, N: int, H: int, f, out: list) -> 
     )
 
 
-def _check_window(cfg: VerifyConfig, N: int, h_list: list[int], out: list) -> None:
+def _check_window(cfg: VerifyConfig, N: int, h_list: list[int], poly, out: list) -> None:
     """The N-dependent checks, on one window ]N - max H, 2N + max H]."""
-    margin = max(h_list)
-    f = arith_core.balanced_window(N, margin, cfg.k)
-    _check_integral_methods(cfg, N, min(h_list), f, out)
+    f = arith_core.balanced_window(N, max(h_list), cfg.k)
+    _check_integral_methods(N, min(h_list), f, poly, out)
 
     # shared by the checks below, each computed once: the direct J and J~
     # of every H (no polynomial, as the correlations see f), one based
     # correlation covering every H's triangle weight, and the
     # autocorrelation of f on ]N, 2N] at every lag
     direct = {H: integral_pair(f, N, H) for H in h_list}
-    cf = spectral.route_correlation(f, N, 2 * margin - 2)
-    ac = spectral.correlation(f.truncated(), N - 1)
+    cf = spectral.route_correlation(f)
+    ac = spectral.autocorrelation(f)
 
     for H in h_list:
-        r = spectral.correlation_route_check(f, N, H, direct[H], cf)
+        r = spectral.correlation_route_check(direct[H], cf)
         out.append(
             VerificationRecord(
                 check="correlation_route",
@@ -266,7 +264,7 @@ def _check_window(cfg: VerifyConfig, N: int, h_list: list[int], out: list) -> No
         )
     for h in h_list:
         if h >= 10:
-            g = spectral.gallagher_check(f, N, h, direct[h], ac)
+            g = spectral.gallagher_check(direct[h], ac)
             out.append(
                 VerificationRecord(
                     check="gallagher",
@@ -281,7 +279,7 @@ def _check_window(cfg: VerifyConfig, N: int, h_list: list[int], out: list) -> No
     # the balancing cutoffs exist from H = 2; the split needs [eps*H] >= 1
     p = asymptotics.optimal_eps_E(0, H) if H >= 2 else None
     if p is not None and math.floor(p.eps * H) >= 1:
-        t = spectral.three_range_split(f, N, H, p.eps, p.E, direct[H], ac)
+        t = spectral.three_range_split(direct[H], ac, p.eps, p.E)
         out.append(
             VerificationRecord(
                 check="three_range_split",
@@ -305,6 +303,7 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
     run of consecutive cells with the same N, for that run's H in order.
     """
     cfg = cfg or VerifyConfig()
+    poly = arith_core.residue_polynomial(cfg.k)  # an unsupported k fails before any check
     records: list[VerificationRecord] = []
     _check_kernel_localization(cfg, records)
     _check_box_correlation_formula(cfg, records)
@@ -315,6 +314,6 @@ def run_verification(cfg: VerifyConfig | None = None) -> tuple[list[Verification
     _check_energy_quadrature(cfg, records)
     _check_exponent_algebra(cfg, records)
     for N, cells in groupby(cfg.cells, key=itemgetter(0)):
-        _check_window(cfg, N, [H for _, H in cells], records)
+        _check_window(cfg, N, [H for _, H in cells], poly, records)
     failures = sum(1 for r in records if r.hard and not r.ok)
     return records, failures

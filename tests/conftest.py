@@ -10,7 +10,7 @@ import selberg_lab
 from selberg_lab import balanced_window
 from selberg_lab.selberg import integral_pair
 from selberg_lab.spectral import (
-    correlation,
+    autocorrelation,
     correlation_route_check,
     gallagher_check,
     route_correlation,
@@ -45,19 +45,15 @@ def cli_env(**overrides):
 
 
 def route_check(f, N, H):
-    return correlation_route_check(
-        f, N, H, integral_pair(f, N, H), route_correlation(f, N, 2 * H - 2)
-    )
+    return correlation_route_check(integral_pair(f, N, H), route_correlation(f))
 
 
 def gallagher(f, N, h):
-    return gallagher_check(f, N, h, integral_pair(f, N, h), correlation(f.truncated(), N - 1))
+    return gallagher_check(integral_pair(f, N, h), autocorrelation(f))
 
 
 def three_range(f, N, H, eps, E):
-    return three_range_split(
-        f, N, H, eps, E, integral_pair(f, N, H), correlation(f.truncated(), N - 1)
-    )
+    return three_range_split(integral_pair(f, N, H), autocorrelation(f), eps, E)
 
 
 @pytest.fixture(scope="session")

@@ -373,6 +373,21 @@ def test_late_cell_above_quarter_rejected_before_any_window(command, tmp_path, m
     assert "H=3 too large for N=11" in err
 
 
+@pytest.mark.parametrize("command", ["selberg", "fit", "verify"])
+def test_unsupported_k_rejected_before_any_window(command, tmp_path, monkeypatch, capsys):
+    # k = 5 needs gamma_3, which is not stored; the residue polynomial is
+    # built before the first window is sieved
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a window was sieved before k was checked")
+
+    monkeypatch.setattr(arith_core, "sieve_dk", no_sieve)
+    argv = [command, "--n", "1000000", "--h", "10", "--k", "5", "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "gamma_0..gamma_3" in err
+
+
 def test_sieve_and_injected_fit_skip_the_quarter_bound(tmp_path, capsys):
     # neither computes an integral, so H <= N^0.49 is their only grid bound;
     # the injected fit then stops at its own band check

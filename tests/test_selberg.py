@@ -108,7 +108,7 @@ def test_cesaro_H1_degenerates_to_point():
 def test_mean_value_basics():
     one = LogPolynomial((1.0,))
     assert mean_value(17, 9, one) == 9.0
-    assert mean_value(17, 9, LogPolynomial.zero()) == 0.0
+    assert mean_value(17, 9, LogPolynomial((0.0,))) == 0.0
 
 
 def test_mean_value_k3_at_e_squared():
@@ -123,7 +123,7 @@ def test_mean_value_k3_at_e_squared():
 
 def test_mean_value_domain():
     with pytest.raises(ValueError):
-        mean_value(0, 5, LogPolynomial.zero())
+        mean_value(0, 5, LogPolynomial((0.0,)))
 
 
 # ------------------------------------------------------------- integrals

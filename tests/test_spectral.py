@@ -13,6 +13,7 @@ from selberg_lab.arith_core import BalancedSequence, balanced_window
 from selberg_lab.asymptotics import optimal_eps_E
 from selberg_lab.selberg import integral_pair
 from selberg_lab.spectral import (
+    autocorrelation,
     band_energy,
     box_autocorrelation,
     correlation,
@@ -62,7 +63,9 @@ def test_correlation_fft_matches_direct():
 
 def test_correlation_complex_and_base():
     rng = np.random.default_rng(2)
-    f = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    f = rng.standard_normal(200)
+    with pytest.raises(ValueError):  # the lab's sequences are real
+        correlation(f + 1j * rng.standard_normal(200), 30)
     for base in (None, (40, 160)):
         a = correlation(f, 30, method="fft", base=base)
         b = correlation(f, 30, method="direct", base=base)
@@ -73,12 +76,9 @@ def test_correlation_complex_and_base():
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), M=st.integers(1, 300), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_correlation_fft_matches_direct_on_random_inputs(data, M, is_complex, seed):
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(M)
-    if is_complex:
-        f = f + 1j * rng.standard_normal(M)
+@given(data=st.data(), M=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_correlation_fft_matches_direct_on_random_inputs(data, M, seed):
+    f = np.random.default_rng(seed).standard_normal(M)
     hmax = data.draw(st.integers(0, M - 1), label="hmax")
     base = None
     if data.draw(st.booleans(), label="with base"):
@@ -86,9 +86,9 @@ def test_correlation_fft_matches_direct_on_random_inputs(data, M, is_complex, se
         base = (b0, data.draw(st.integers(b0 + 1, M), label="b1"))
     a = correlation(f, hmax, method="fft", base=base)
     b = correlation(f, hmax, method="direct", base=base)
-    assert np.iscomplexobj(a.values) == is_complex == np.iscomplexobj(b.values)
+    assert a.values.dtype == b.values.dtype == np.float64
     # every |C(h)| is at most the energy of f
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12 * float(np.sum(np.abs(f) ** 2))
+    assert np.max(np.abs(a.values - b.values)) <= 1e-12 * float(np.sum(f * f))
 
 
 def test_correlation_symmetry_holds_for_full_base_only():
@@ -246,12 +246,11 @@ def test_correlation_fft_at_every_lag():
     # the FFT pads to twice the length, so even lag M - 1 takes no wraparound
     rng = np.random.default_rng(9)
     M = 50
-    real = rng.standard_normal(M)
-    for f in (real, real + 1j * rng.standard_normal(M)):
-        a = correlation(f, M - 1)
-        b = correlation(f, M - 1, method="direct")
-        assert a.values.dtype == b.values.dtype
-        assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
+    f = rng.standard_normal(M)
+    a = correlation(f, M - 1)
+    b = correlation(f, M - 1, method="direct")
+    assert a.values.dtype == b.values.dtype
+    assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
 
 
 def test_box_energy_equals_clipped_window_sum():
@@ -344,9 +343,9 @@ def test_three_range_signature_rejects_bad_eps_E():
     for eps, E in ((0.0, 0.5), (-0.1, 0.5), (0.25, 1.5), (0.05, 0.5)):  # last: [eps*H] = 0
         with pytest.raises(ValueError):
             three_range(f, 512, 16, eps, E)
-    direct, ac = integral_pair(f, 512, 16), correlation(f.truncated(), 511)
+    direct, ac = integral_pair(f, 512, 16), autocorrelation(f)
     with pytest.raises(TypeError):  # the quadrature grid is gone
-        three_range_split(f, 512, 16, 0.25, 0.5, direct, ac, grid_m=1 << 16)
+        three_range_split(direct, ac, 0.25, 0.5, grid_m=1 << 16)
 
 
 def test_three_range_majorization_and_partition():
@@ -449,34 +448,31 @@ def test_kernel_intervals_edges():
 
 
 def test_shared_values_are_checked(balanced_1e4):
+    # N and H come from the direct report; every correlation that can still
+    # disagree with it is rejected
     f, N = balanced_1e4, 10**4
-    direct, other = integral_pair(f, N, 20), integral_pair(f, N, 21)
-    cf, ac = route_correlation(f, N, 38), correlation(f.truncated(), N - 1)
-    with pytest.raises(ValueError):
-        correlation_route_check(f, N, 20, other, cf)
-    with pytest.raises(ValueError):
-        gallagher_check(f, N, 20, other, ac)
-    with pytest.raises(ValueError):
-        three_range_split(f, N, 20, 0.25, 0.5, other, ac)
-    with pytest.raises(ValueError):  # not based on ]N, 2N]
-        correlation_route_check(f, N, 20, direct, correlation(f.values, 38))
-    with pytest.raises(ValueError):  # too few shifts for H = 20's triangle weight
-        correlation_route_check(f, N, 20, direct, route_correlation(f, N, 37))
+    direct = integral_pair(f, N, 20)
     short = correlation(f.truncated(), N - 2)  # misses the last lag
-    based = route_correlation(f, N, N - 1)  # every lag, but its inner index leaves ]N, 2N]
+    based = correlation(f.values, N - 1, base=(40, N + 40))  # every lag, but based
     for bad in (short, based):
         with pytest.raises(ValueError):
-            gallagher_check(f, N, 20, direct, bad)
+            gallagher_check(direct, bad)
         with pytest.raises(ValueError):
-            three_range_split(f, N, 20, 0.25, 0.5, direct, bad)
+            three_range_split(direct, bad, 0.25, 0.5)
+    other_n = balanced_window(N + 1, 40)
+    for bad in (
+        correlation(f.values, 38),  # no base
+        route_correlation(other_n),  # based on ]N + 1, 2N + 2]
+        correlation(f.values, 37, base=(40, N + 40)),  # too few shifts for H = 20
+    ):
+        with pytest.raises(ValueError):
+            correlation_route_check(direct, bad)
 
 
 def test_route_correlation_slices_are_per_h_tables(balanced_1e4):
-    # one table at the largest H serves every smaller H with the same floats
+    # one table at the window's H serves every smaller H with the same floats
     f, N = balanced_1e4, 10**4
-    big = route_correlation(f, N, 2 * 40 - 2)
+    big = route_correlation(f)
+    assert big.hmax == 2 * 40 - 2
     for h in (0, 9, 18, 38):
-        assert np.array_equal(big.window(h), route_correlation(f, N, h).values)
-    for H in (10, 20):
-        direct = integral_pair(f, N, H)
-        assert correlation_route_check(f, N, H, direct, big) == route_check(f, N, H)
+        assert np.array_equal(big.window(h), correlation(f.values, h, base=(40, N + 40)).values)
