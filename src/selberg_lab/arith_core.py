@@ -262,9 +262,10 @@ def balanced_sequence(
         raise ValueError(
             f"table [{table.lo}, {table.hi}] does not cover ]{N-H}, {2*N+H}]"
         )
-    d = table.slice(lo - 1, hi).astype(np.float64)
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = d - poly(np.log(n))
+    vals = poly(np.log(n, out=n))
+    # the ufunc casts int64 to float64 as astype does, but one buffer at a time
+    np.subtract(table.slice(lo - 1, hi), vals, out=vals)
     return BalancedSequence(lo=lo, values=vals, N=N, H=H)
 
 

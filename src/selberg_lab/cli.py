@@ -231,9 +231,9 @@ def _integral_reports(cfg: RunConfig, cells):
     poly = arith_core.residue_polynomial(cfg.k)
     memo = _SieveMemo(cfg.k, cells)
     for N, H in cells:
-        table = _get_table(cfg, N, H, memo)
-        f = arith_core.balanced_sequence(table, poly, N, H)
-        yield integral_pair(f, N, H, poly, cfg.method, cfg.mean_mode)
+        # no name holds a cell's table or f, so neither lives into the next cell
+        yield integral_pair(arith_core.balanced_sequence(_get_table(cfg, N, H, memo), poly, N, H),
+                            N, H, poly, cfg.method, cfg.mean_mode)
 
 
 def cmd_selberg(cfg: RunConfig) -> int:

@@ -21,6 +21,7 @@ from .arith_core import LogPolynomial, Window
 MEAN_MODES = ("residue", "window-poly")
 METHODS = ("sliding", "brute")
 BRUTE_CHUNK_ELEMENTS = 1 << 20  # window elements one brute triangle product copies
+BOX_BLOCK = 1 << 16  # window sums one in-place prefix difference writes
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,8 @@ def _deviation_inputs(f: Window, x_first: int, x_last: int, H: int, poly, mean_m
     # (np.log is elementwise, so a slice has the bits of a separate call);
     # x_first is f.lo - 1 when a box deviation starts at the window's edge
     lo = min(x_first, f.lo)
-    logs = np.log(np.arange(lo, f.hi + 1, dtype=np.float64))
+    logs = np.arange(lo, f.hi + 1, dtype=np.float64)
+    np.log(logs, out=logs)
     g = poly(logs[f.lo - lo :])
     g += f.values
     mean = poly(logs[x_first - lo : x_last + 1 - lo])
@@ -127,11 +129,17 @@ def _box_sums(g: np.ndarray, i0: int, count: int, H: int) -> np.ndarray:
     """The sums of g over the index windows [i, i+H) for i = i0 .. i0+count-1.
 
     The prefix sum always starts at g[0], so no window's rounding depends on i0.
+    Sum i reads prefix entries i0 + i and i0 + H + i and is written at index i,
+    over entries no later sum reads. numpy computes an overlapping ufunc as if
+    its inputs were copied first; the blocks bound what such a copy costs.
     """
     prefix = np.empty(len(g) + 1)
     prefix[0] = 0.0
     np.cumsum(g, out=prefix[1:])
-    return prefix[i0 + H : i0 + H + count] - prefix[i0 : i0 + count]
+    for k in range(0, count, BOX_BLOCK):
+        e = min(k + BOX_BLOCK, count)
+        np.subtract(prefix[i0 + H + k : i0 + H + e], prefix[i0 + k : i0 + e], out=prefix[k:e])
+    return prefix[:count]
 
 
 def box_deviations(
@@ -179,9 +187,9 @@ def triangle_deviations(
     count = x_last - x_first + 1
     if method == "sliding":
         # S(y) for y in [x_first - H, x_last - 1], then the sum of S(y) for
-        # y in [x - H, x - 1]
-        box = _box_sums(g, x_first - H + 1 - f.lo, count + H - 1, H)
-        sums = _box_sums(box, 0, count, H)
+        # y in [x - H, x - 1]; rebinding g frees a residue g before the second prefix
+        g = _box_sums(g, x_first - H + 1 - f.lo, count + H - 1, H)
+        sums = _box_sums(g, 0, count, H)
         sums /= H
     else:
         # row k of the view is the window [x-H, x+H] of x = x_first + k; the

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,22 @@ def test_sieve_fill_prints_one_written_line_per_cell(tmp_path, capsys):
     for line, H in zip(lines, hs):
         assert line.endswith("[written]")
         assert f" H={H} entries={N + 2 * H} " in line
+
+
+def test_fit_cells_hold_no_arrays_of_an_earlier_cell(tmp_path, capsys):
+    # each cell's table and f are freed before the next cell's are read, so
+    # the peak is one cell's: f plus three window arrays of the largest H
+    N = 2**17
+    argv = ["--n", str(N), "--h", "8", "--h", "16", "--h", "64", "--cache-dir", str(tmp_path)]
+    assert cli.main(["sieve", *argv]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["fit", *argv]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 4.5 * 8 * (N + 2 * 64)
 
 
 # ---------------------------------------------------------------- selberg

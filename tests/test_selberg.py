@@ -11,6 +11,7 @@ from selberg_lab.arith_core import (
     BalancedSequence,
     LogPolynomial,
     Window,
+    balanced_sequence,
     balanced_window,
     residue_polynomial,
     sieve_dk,
@@ -332,19 +333,58 @@ def _first_deviations(f, x_first, x_last, H, poly, mean_mode, kind):
     return box_sums(box, 0, count) / H - mean
 
 
+def _assert_first_bits(N, H, mean_modes):
+    """Both profiles over the integral range and over each one's widest range
+    (the box one starts at f.lo - 1, outside the window) carry the bits of
+    _first_deviations, signed zeros included, and leave f.values untouched:
+    in window-poly mode the summed array is f.values itself."""
+    f = balanced_window(N, H)
+    f_bits = f.values.view(np.int64).copy()
+    q3 = residue_polynomial(3)
+    for mean_mode in mean_modes:
+        for kind, dev, ranges in (
+            ("box", box_deviations, [(N + 1, 2 * N), (f.lo - 1, f.hi - H)]),
+            ("triangle", triangle_deviations, [(N + 1, 2 * N), (f.lo + H, f.hi - H)]),
+        ):
+            for x_first, x_last in ranges:
+                got = dev(f, x_first, x_last, H, q3, mean_mode)
+                want = _first_deviations(f, x_first, x_last, H, q3, mean_mode, kind)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert np.array_equal(f.values.view(np.int64), f_bits)
+
+
 @settings(max_examples=30, deadline=None)
 @given(cell=_cells(), mean_mode=st.sampled_from(["residue", "window-poly"]))
 def test_deviations_keep_the_bits_of_the_first_formulas(cell, mean_mode):
-    N, H = cell
-    f = balanced_window(N, H)
+    _assert_first_bits(*cell, [mean_mode])
+
+
+@pytest.mark.parametrize("N", [2**16 + 5, 2**17 + 3])
+@pytest.mark.parametrize("H", [1, 7, 250])
+def test_deviations_keep_the_bits_across_box_blocks(N, H):
+    # each range has more than 2^16 sums, so the in-place prefix differences
+    # run over more than one block
+    _assert_first_bits(N, H, ["residue", "window-poly"])
+
+
+def _peak_in_window_arrays(N, H, fn, *args, **kwargs):
+    """The traced peak of fn(*args, **kwargs) in float arrays of N + 2H."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * (N + 2 * H))
+
+
+def test_sliding_cell_holds_three_window_arrays():
+    # the balanced sequence needs its logs and the polynomial's output; a
+    # sliding integral needs f plus the summed values, the means and a prefix
+    N, H = 2**17, 64
+    table = sieve_dk(N - H + 1, 2 * N + H, 3)
     q3 = residue_polynomial(3)
-    # the integral range, and each profile's widest range: the box one starts
-    # at f.lo - 1, outside the window
-    for kind, dev, ranges in (
-        ("box", box_deviations, [(N + 1, 2 * N), (f.lo - 1, f.hi - H)]),
-        ("triangle", triangle_deviations, [(N + 1, 2 * N), (f.lo + H, f.hi - H)]),
-    ):
-        for x_first, x_last in ranges:
-            got = dev(f, x_first, x_last, H, q3, mean_mode)
-            want = _first_deviations(f, x_first, x_last, H, q3, mean_mode, kind)
-            assert np.array_equal(got, want)
+    assert _peak_in_window_arrays(N, H, balanced_sequence, table, q3, N, H) <= 2.25
+    f = balanced_sequence(table, q3, N, H)
+    for mean_mode, bound in (("residue", 3.25), ("window-poly", 2.25)):
+        assert _peak_in_window_arrays(N, H, integral_pair, f, N, H, q3, mean_mode=mean_mode) <= bound
